@@ -95,14 +95,3 @@ def poly_scale(coeffs):
         return c.copy()
     return c / m
 
-
-def effective_degree(coeffs, rtol=1e-12):
-    """Degree of a low-to-high coefficient vector at relative tolerance."""
-    c = np.asarray(coeffs, dtype=complex)
-    if c.size == 0:
-        return -1
-    m = np.max(np.abs(c))
-    if m == 0.0:
-        return -1
-    idx = np.nonzero(np.abs(c) > rtol * m)[0]
-    return int(idx[-1]) if idx.size else -1

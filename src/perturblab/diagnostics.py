@@ -17,7 +17,6 @@ from .errors import ContourTooClose, DivergentNearRealZero, NotBiorthogonal
 from .data import RankOneData, omega_matrix
 from .model import ModelPair
 from .engine import Eigensystem, phi_zeros
-from ._numutil import effective_degree
 
 
 # ---------------------------------------------------------------------------
@@ -34,7 +33,7 @@ class GrowthProfile:
     lower_envelope_c: float          # min over y >= 10 of y |phi(iy)|
     envelope_argmin: float
     top_decade_ratio: float          # max/min of |phi(iy)| over top decade
-    exact_exponent: int | None       # rational degree difference, if available
+    exact_exponent: int              # exponent of |phi| at infinity
     inner_margin_c: float            # min (1-|Theta(iy)|)(y^2+1)/y over y > 1
 
 
@@ -44,8 +43,7 @@ def growth_profile(model: ModelPair, y_max=1e4, n_points=200):
     The envelope constant is min over the grid (restricted to y >= 10) of
     y |phi(iy)|; the exponent is a least-squares fit of log|phi| against
     log y over the top decade of the grid, and the exact asymptotic exponent
-    (numerator degree minus denominator degree) is reported when the
-    rational normal form is available.
+    is read off the partial-fraction data (ModelPair.exponent_at_infinity).
     """
     y = np.logspace(0.0, np.log10(y_max), n_points)
     phi = np.array([abs(model.phi(1j * v)) for v in y])
@@ -62,12 +60,7 @@ def growth_profile(model: ModelPair, y_max=1e4, n_points=200):
     i_min = int(np.argmin(env_vals))
     ratio = float(np.max(phi[top]) / np.min(phi[top])) if np.min(phi[top]) > 0 \
         else float("inf")
-    try:
-        forms = model.rational()
-        exact = (effective_degree(forms.num_beta)
-                 - effective_degree(forms.phi_den))
-    except Exception:
-        exact = None
+    exact = model.exponent_at_infinity
     # exhibited constant in 1 - |Theta(z)| >= c Im z/(|z|^2 + 1), sampled
     up = y[y > 1.0]
     margins = [(1.0 - abs(model.theta(1j * v))) * (v * v + 1.0) / v
@@ -102,8 +95,7 @@ def integral_test(model: ModelPair, n_weight, tau, eta):
     if eta == 0.0 and zeros.real.size > 0:
         raise DivergentNearRealZero(
             f"phi has real zeros at {zeros.real}; integrand not integrable")
-    forms = model.rational()
-    drop = effective_degree(forms.phi_den) - effective_degree(forms.num_beta)
+    drop = -model.exponent_at_infinity
     decay = tau * drop - n_weight          # integrand ~ |t|^decay
     if decay >= -1.0:
         return IntegralReport(float("inf"), float("inf"), False, float(decay))

@@ -201,21 +201,16 @@ class PhiZeros:
     lower: np.ndarray               # conjugates of the phi_tilde zeros
 
 
-def _beta_numerator_log_derivative(model: ModelPair, z):
-    """d/dz log N_beta(z), atom-stable.
+def _cmul(x, y):
+    """x * y for complex arrays of one shape, formed componentwise.
 
-    With u = t_j - z for the nearest atom, N_beta factors as
-    (w_j + u B) * (prod_{m != j} (t_m - z)) up to a constant, so the
-    logarithmic derivative is (u B' - B)/(w_j + u B) + sum_{m != j} 1/(z - t_m).
+    Rounds as numpy's scalar complex multiply does; its complex array
+    multiply may use fused multiply-adds and round differently.
     """
-    j = model.beta.nearest_pole(z)
-    t = model.t
-    u = t[j] - z
-    b = model.beta.regular_part(j, z)
-    bp = model.beta.derivative_regular_part(j, z)
-    wj = model.beta.residues[j]
-    mask = np.arange(t.size) != j
-    return (u * bp - b) / (wj + u * b) + np.sum(1.0 / (z - t[mask]))
+    out = np.empty_like(x)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def _aberth_refine(model: ModelPair, roots, iterations=120):
@@ -223,27 +218,41 @@ def _aberth_refine(model: ModelPair, roots, iterations=120):
 
     Monomial-basis companion roots degrade around degree ~100 for atoms
     spread over tens of units; Aberth-Ehrlich corrections driven by the
-    partial-fraction log-derivative recover them without ever forming big
-    polynomial values.
+    partial-fraction log-derivative of the beta numerator recover them
+    without ever forming big polynomial values.  With u = t_j - z for the
+    atom nearest a root z, that numerator factors as
+    (w_j + u B)(prod_{m != j} (t_m - z)) up to a constant, so its
+    logarithmic derivative is (u B' - B)/(w_j + u B) + sum_{m != j} 1/(z - t_m).
+
+    Each iteration is one Jacobi-style step over all roots at once (as in
+    MPSolve, Bini & Robol 2014): every correction comes from the same
+    iterate, through (roots x atoms) and (roots x roots) arrays, and the
+    regular parts B, B' through CauchyRepresentation.regular_parts.  An
+    iterate that coincides with an earlier one is nudged aside; iterates
+    whose correction is not finite stay put.
     """
     roots = np.array(roots, dtype=complex)
     n = roots.size
-    scale = max(1.0, float(np.max(np.abs(model.t))))
+    t, beta = model.t, model.beta
+    scale = max(1.0, float(np.max(np.abs(t))))
+    cols = np.arange(t.size - 1)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    nudge = -1e-8 * scale * (1.0 + 1.0j)
     with np.errstate(all="ignore"):
         for _ in range(iterations):
-            steps = np.zeros(n, dtype=complex)
-            for k in range(n):
-                logd = _beta_numerator_log_derivative(model, roots[k])
-                others = np.delete(roots, k)
-                diffs = roots[k] - others
-                if np.any(diffs == 0):  # collided iterates: nudge apart
-                    steps[k] = -1e-8 * scale * (1.0 + 1.0j)
-                    continue
-                denom = logd - np.sum(1.0 / diffs)
-                if denom != 0 and np.isfinite(denom):
-                    step = 1.0 / denom
-                    if np.isfinite(step):
-                        steps[k] = step
+            js = np.argmin(np.abs(t - roots[:, None]), axis=1)
+            u = t[js] - roots
+            b, bp = beta.regular_parts(js, roots)
+            others = t[cols + (cols >= js[:, None])]
+            logd = ((_cmul(u, bp) - b) / (beta.residues[js] + _cmul(u, b))
+                    + np.sum(1.0 / (roots[:, None] - others), axis=1))
+            diffs = roots[:, None] - roots
+            collided = np.any(np.tril(diffs == 0, -1), axis=1)
+            diffs = diffs[off_diagonal].reshape(n, n - 1)
+            denom = logd - np.sum(1.0 / diffs, axis=1)
+            step = 1.0 / denom
+            ok = (denom != 0) & np.isfinite(denom) & np.isfinite(step)
+            steps = np.where(collided, nudge, np.where(ok, step, 0.0))
             roots = roots - steps
             if np.max(np.abs(steps)) < 1e-14 * scale:
                 break

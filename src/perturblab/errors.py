@@ -77,10 +77,6 @@ class BisectionFailure(PerturbLabError):
     """Bracketing bisection failed to locate a zero."""
 
 
-class DecayViolation(PerturbLabError):
-    """A decay assertion of the construction failed at some index."""
-
-
 class ExhaustedInput(PerturbLabError):
     """Supplied sequence is too short for the requested construction."""
 

@@ -27,13 +27,14 @@ discrepancy.  Any other real delta may be passed explicitly.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import (AdmissibilityError, DegenerateZeta, DegreeOverflow,
-                     EvaluationAtPole, MassPresent)
-from .data import RankOneData, validate, classify_real_type
+from .errors import (AdmissibilityError, BadParameters, DegenerateZeta,
+                     DegreeOverflow, EvaluationAtPole, MassPresent)
+from .data import EQUALITY_RTOL, RankOneData, validate, classify_real_type
 from ._numutil import kahan_sum, sum_by_abs_pole, poly_scale
 
 #: largest atom count for which polynomial numerator/denominator vectors are built
@@ -103,6 +104,35 @@ class CauchyRepresentation:
         tm, wm = t[mask], w[mask]
         return sum_by_abs_pole(tm, wm / (tm - z) ** 2)
 
+    @cached_property
+    def _others_by_abs(self):
+        """Column j: the indices of the poles other than j, in ascending |t|."""
+        n = self.poles.size
+        order = np.broadcast_to(self._order, (n, n))
+        keep = order != np.arange(n)[:, None]
+        return np.ascontiguousarray(order[keep].reshape(n, n - 1).T)
+
+    def regular_parts(self, js, zs):
+        """Regular parts of F and F' at many points, each at its own pole.
+
+        Entry k equals regular_part(js[k], zs[k]) and
+        derivative_regular_part(js[k], zs[k]) bit for bit: pole js[k] is
+        left out and the other terms are summed in ascending-|t| order with
+        Kahan compensation, vectorized along the points.
+        """
+        t, w = self.poles, self.residues
+        js = np.asarray(js, dtype=int)
+        idx = self._others_by_abs[:, js]          # (N - 1) x points
+        tm, wm = t[idx], w[idx]
+        d = tm - np.asarray(zs, dtype=complex)
+        # bound to a name, so numpy cannot multiply into this temporary in
+        # place: its in-place complex multiply rounds differently from the
+        # out-of-place one that forms the terms of regular_part
+        diff = 1.0 / d - 1.0 / tm
+        head = self.constant - w[js] / t[js]
+        return (head + kahan_sum(wm * diff),
+                np.broadcast_to(kahan_sum(wm / d ** 2), js.shape))
+
 
 def _product_polys(t):
     """Coefficients (low-to-high) of prod (1 - z/t_n) and its exclusions.
@@ -145,17 +175,6 @@ class RationalForms:
     def phi_den(self):
         return P.polyadd(1j * self.den, self.num_rho)
 
-    def scaled(self):
-        """All vectors rescaled to unit max-|coefficient|."""
-        return {
-            "den": poly_scale(self.den),
-            "num_beta": poly_scale(self.num_beta),
-            "num_rho": poly_scale(self.num_rho),
-            "num_beta_star": poly_scale(self.num_beta_star),
-            "phi_num": poly_scale(self.phi_num),
-            "phi_den": poly_scale(self.phi_den),
-        }
-
 
 class ModelPair:
     """Evaluators for beta, rho, Theta, phi, phi_tilde of one data set."""
@@ -189,6 +208,30 @@ class ModelPair:
     def theta_infinity(self):
         d = self.delta_infinity
         return (1j - d) / (1j + d)
+
+    @property
+    def exponent_at_infinity(self):
+        """The k with |phi(z)| ~ |z|^k at infinity, off the partial fractions.
+
+        Expanding 1/(t_n - z) = -sum_{k>=1} t_n^(k-1) z^(-k) gives
+        beta(z) = c - sum_k (sum_n w_n t_n^(k-1)) z^(-k) with
+        c = kappa - sum_n w_n/t_n.  Since rho(infinity) is real, i + rho
+        never vanishes there and phi decays like beta: the exponent is 0
+        when c != 0 (the admissibility condition) and otherwise -k for the
+        first moment sum_n w_n t_n^(k-1) that is nonzero at the relative
+        tolerance of the admissibility test.
+        """
+        if self.report.condition_A:
+            return 0
+        t, w = self.t, self.beta.residues
+        x = t / np.max(np.abs(t))      # rescaled so the moments cannot overflow
+        powers = np.ones_like(x)
+        for k in range(1, t.size + 1):
+            terms = w * powers
+            if abs(kahan_sum(terms)) > EQUALITY_RTOL * np.sum(np.abs(terms)):
+                return -k
+            powers = powers * x
+        raise AdmissibilityError("beta vanishes identically")
 
     @property
     def real_type(self):
@@ -446,7 +489,7 @@ def clark_measure(model: ModelPair, zeta):
     """Clark measure of the model's Theta at unimodular zeta."""
     zeta = complex(zeta)
     if abs(abs(zeta) - 1.0) > 1e-10:
-        raise ValueError("zeta must be unimodular")
+        raise BadParameters("zeta must be unimodular")
     if abs(zeta - model.theta_infinity) <= 1e-12:
         raise DegenerateZeta(
             "zeta equals Theta at infinity; one atom escapes to infinity "
@@ -529,13 +572,6 @@ def lebesgue_integral(fn, breakpoints=(), rtol=1e-8, r0=None):
     total = core + up + lo
     tail_err = abs(up_err) + abs(lo_err)
     return total, tail_err
-
-
-def lebesgue_inner(f, g, breakpoints=(), rtol=1e-8):
-    """Lebesgue inner product int f(x) conj(g(x)) dx on the real line."""
-    val, tail = lebesgue_integral(lambda x: f(x) * np.conj(g(x)),
-                                  breakpoints, rtol)
-    return val, tail
 
 
 class ClarkField:

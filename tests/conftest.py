@@ -60,6 +60,29 @@ def random_instance(rng, n=None, real_type=False, kappa_margin=0.05):
     return make_data(t, mu, a, b, kappa)
 
 
+def separated_instance(rng, n, lo=-20.0, hi=20.0, kappa_margin=0.25):
+    """Instance with one atom per cell of an even partition of [lo, hi].
+
+    Each atom sits within the middle half of its cell, so neighbours are at
+    least half a cell apart and, for even n on a symmetric interval, no
+    atom comes within a quarter cell of 0.  Atoms are never redrawn, so
+    large n cost one pass (random_instance rejects draws on a minimum gap
+    and stalls past about 150 atoms).  mu in [0.5, 2], |a|, |b| in [0.5, 1]
+    with uniform phases, and kappa away from the pairing sum.
+    """
+    assert n % 2 == 0 and lo == -hi, "keeps every atom away from 0"
+    width = (hi - lo) / n
+    t = lo + width * (np.arange(n) + 0.5 + rng.uniform(-0.25, 0.25, n))
+    mu = rng.uniform(0.5, 2.0, n)
+    a = rng.uniform(0.5, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    b = rng.uniform(0.5, 1.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    omega = pairing_sum(make_data(t, mu, a, b, 1.0))
+    while True:
+        kappa = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        if abs(kappa - omega) >= kappa_margin * (1.0 + abs(omega)):
+            return make_data(t, mu, a, b, kappa)
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(20240817))

@@ -57,6 +57,25 @@ class TestExitCodes:
         assert main(["--quiet", "--out", str(tmp_path / "out"),
                      "compare", str(path)]) == 2
 
+    def test_non_unimodular_zeta_exit_two(self, problem_file):
+        # a fresh interpreter, so an uncaught exception would show as a
+        # traceback on stderr
+        import os
+        import subprocess
+        import sys
+
+        import perturblab
+        src = os.path.dirname(os.path.dirname(perturblab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "perturblab.cli", "--quiet", "--out",
+             str(problem_file.parent / "out"), "clark", str(problem_file),
+             "--zeta", "2,0"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "BadParameters" in proc.stderr
+
     def test_forced_tolerance_failure_exit_three(self, tmp_path):
         # complex-type data leave a nonzero (machine-level) residual, so an
         # absurdly small tolerance must trip exit code 3

@@ -10,7 +10,7 @@ from perturblab.diagnostics import (enumerate_partitions, growth_profile,
                                     integral_test, macaev_check, mass_detect,
                                     synthesis_defect, volterra_window_check)
 
-from conftest import make_data, random_instance
+from conftest import make_data, random_instance, separated_instance
 
 
 def eigen_count_below(g, lam):
@@ -117,6 +117,16 @@ class TestIntegral:
         v2 = integral_test(m, 2.0, 1.0, 1.0).value
         v4 = integral_test(m, 4.0, 1.0, 1.0).value
         assert v4 <= v2
+
+    def test_separated_30_atoms_converges(self, rng):
+        # 30 atoms spread over [-20, 20]: the decay exponent must not depend
+        # on monomial coefficients, whose tail falls below any cutoff here
+        m = build_model(separated_instance(rng, 30))
+        rep = integral_test(m, 2.0, 1.0, 1.0)
+        assert rep.convergent
+        assert rep.decay_exponent == -2
+        assert np.isfinite(rep.value) and rep.value > 0
+        assert growth_profile(m).exact_exponent == 0
 
 
 class TestMacaev:

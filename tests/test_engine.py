@@ -6,14 +6,15 @@ import pytest
 from perturblab.data import Atom, DiscreteSpectralData, RankNData
 from perturblab.errors import AdmissibilityError, OrderTooHigh
 from perturblab.model import build_model
-from perturblab.engine import (MatrixRealization, adjoint_data,
-                               adjoint_residual, build_matrix,
+from perturblab.engine import (MatrixRealization, _aberth_refine,
+                               adjoint_data, adjoint_residual, build_matrix,
                                compute_spectrum, eigensystem, gauge_check,
                                generating_function, kappa_shift,
                                oracle_spectrum, phi_zeros, root_chain,
                                shifted_data, weighted_adjoint)
+from perturblab._numutil import matched_max_distance
 
-from conftest import make_data, random_instance
+from conftest import make_data, random_instance, separated_instance
 
 
 def cubic_discriminant(c):
@@ -140,6 +141,36 @@ class TestPhiZeros:
         data = make_data([-1.0, 1.0], [1, 1], [1, 1], [1, 1j], 1.0)
         res = compute_spectrum(data)
         assert res.match_residual <= 1e-8
+
+
+@pytest.fixture(scope="class")
+def separated_200():
+    data = separated_instance(np.random.Generator(np.random.Philox(200)), 200)
+    eigs = oracle_spectrum(build_matrix(data)).eigenvalues
+    return data, eigs, max(1.0, float(np.max(np.abs(eigs))))
+
+
+class TestLargeTruncation:
+    """200 separated atoms: the companion roots are poor, so the Aberth
+    refinement does the work."""
+
+    def test_model_route_matches_oracle(self, separated_200):
+        data, eigs, scale = separated_200
+        zeros = phi_zeros(build_model(data))
+        assert matched_max_distance(eigs, zeros.zeros) <= 1e-10 * scale
+
+    def test_repeat_is_bitwise_equal(self, separated_200):
+        data, _, _ = separated_200
+        first = phi_zeros(build_model(data)).zeros
+        second = phi_zeros(build_model(data)).zeros
+        assert first.tobytes() == second.tobytes()
+
+    def test_collided_iterates_separate(self, separated_200):
+        data, eigs, scale = separated_200
+        seeds = eigs.copy()
+        seeds[1] = seeds[0]
+        roots = _aberth_refine(build_model(data), seeds)
+        assert matched_max_distance(eigs, roots) <= 1e-10 * scale
 
 
 class TestEigensystem:

@@ -17,7 +17,7 @@ from perturblab.model import (build_debranges, build_model, canonical_delta,
                               lebesgue_integral)
 from perturblab.engine import kappa_shift
 
-from conftest import random_instance
+from conftest import random_instance, separated_instance
 
 
 class TestClosedForms:
@@ -144,6 +144,40 @@ class TestEvaluation:
         for z in (0.4 + 0.8j, -2.0 + 0.1j, 3.0 + 2.0j):
             expected = m.theta(z) * np.conj(m.phi(np.conj(z)))
             assert m.phi_tilde(z) == pytest.approx(expected, rel=1e-11)
+
+
+class TestRegularParts:
+    """The batched regular parts against the scalar ones, point by point.
+
+    Both sum the same terms in the same order, so they agree bit for bit
+    (a fortiori within a few ulps of the sum of |terms|).
+    """
+
+    @staticmethod
+    def check(rep, zs):
+        js = np.argmin(np.abs(rep.poles - zs[:, None]), axis=1)
+        b, bp = rep.regular_parts(js, zs)
+        assert np.all(np.isfinite(b)) and np.all(np.isfinite(bp))
+        scalar = np.array([rep.regular_part(j, z) for j, z in zip(js, zs)])
+        dscalar = np.array([rep.derivative_regular_part(j, z)
+                            for j, z in zip(js, zs)])
+        assert b.tobytes() == scalar.tobytes()
+        assert bp.tobytes() == dscalar.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    def test_random_guard_and_atom_points(self, rng, n):
+        data = random_instance(rng, n) if n < 60 else \
+            separated_instance(rng, n)
+        m = build_model(data)
+        t = m.t
+        guard = 1e-8 * (1.0 + np.abs(t))
+        zs = np.concatenate([
+            rng.uniform(-25.0, 25.0, 3 * n) + 1j * rng.uniform(-3.0, 3.0, 3 * n),
+            t + rng.uniform(-0.5, 0.5, n) * guard,     # inside the pole guard
+            t.astype(complex),                         # exactly at the atoms
+        ])
+        for rep in (m.beta, m.rho):
+            self.check(rep, zs)
 
 
 class TestDeBranges:
