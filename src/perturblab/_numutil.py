@@ -15,6 +15,26 @@ def kahan_sum(values):
     return total
 
 
+def cmul(x, y):
+    """x * y for complex arrays of one shape, formed componentwise.
+
+    Rounds as numpy's scalar complex multiply does; its complex array
+    multiply may use fused multiply-adds and round differently.
+    """
+    out = np.empty_like(x)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def cabs(x):
+    """|x| for a complex array, rounded as the scalar abs of a complex is.
+
+    numpy's complex array abs may differ from it in the last bit.
+    """
+    return np.hypot(x.real, x.imag)
+
+
 def sum_by_abs_pole(poles, terms):
     """Sum `terms` in order of ascending |pole|, Kahan-compensated.
 

@@ -36,6 +36,17 @@ def _parse_complex(text):
     raise click.UsageError(f"cannot parse complex value {text!r}")
 
 
+def _parse_rect(text):
+    """The four floats of a --rect 'x1,x2,y1,y2' option."""
+    parts = str(text).split(",")
+    if len(parts) != 4:
+        raise click.UsageError("--rect expects 'x1,x2,y1,y2'")
+    try:
+        return tuple(float(v) for v in parts)
+    except ValueError:
+        raise BadParameters(f"--rect values must be numbers, got {text!r}")
+
+
 def _load_problem(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -379,11 +390,9 @@ def synthesis_cmd(cfg, problem, partition, budget):
 @click.option("--rect", required=True, help="Rectangle 'x1,x2,y1,y2'.")
 @click.pass_obj
 def volterra_cmd(cfg, problem, rect):
+    vals = _parse_rect(rect)
     text, data, m = _model_for(problem)
-    vals = [float(v) for v in rect.split(",")]
-    if len(vals) != 4:
-        raise click.UsageError("--rect expects 'x1,x2,y1,y2'")
-    rep = diag.volterra_window_check(m, tuple(vals))
+    rep = diag.volterra_window_check(m, vals)
     manifest = problemio.make_manifest("diagnose-volterra-window",
                                        {"rect": rect}, text, cfg.seed)
     cfg.emit(manifest, "volterra_window", {
@@ -416,6 +425,7 @@ def _params_manifest(command, params, cfg):
               help="Optional zero-count rectangle 'x1,x2,y1,y2'.")
 @click.pass_obj
 def sharp_cmd(cfg, eps, alpha1, alpha2, n_terms, rect):
+    vals = _parse_rect(rect) if rect else None
     params = {"eps": eps, "alpha1": alpha1, "alpha2": alpha2, "n": n_terms,
               "rect": rect or ""}
     inst = gal.sharp_instance(eps, alpha1, alpha2, n_terms)
@@ -427,8 +437,7 @@ def sharp_cmd(cfg, eps, alpha1, alpha2, n_terms, rect):
         "smooth_b_total": float(inst.smooth_b_partial[-1]),
         "problem": problemio.problem_to_dict(inst.data),
     }
-    if rect:
-        vals = tuple(float(v) for v in rect.split(","))
+    if vals is not None:
         rep = gal.sharp_zero_freeness(inst, vals)
         payload["zero_count"] = rep.count
         payload["boundary_min_abs_phi"] = rep.boundary_min_abs_phi

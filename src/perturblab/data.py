@@ -38,9 +38,14 @@ class Atom:
 
 @dataclass(frozen=True)
 class DiscreteSpectralData:
-    """Ordered atoms of the discrete measure; t strictly increasing."""
+    """Ordered atoms of the discrete measure; t strictly increasing.
+
+    The positions t and masses mu are built once, as read-only arrays.
+    """
 
     atoms: tuple
+    t: np.ndarray = field(init=False, repr=False, compare=False)
+    mu: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = tuple(a if isinstance(a, Atom) else Atom(*a) for a in self.atoms)
@@ -50,14 +55,10 @@ class DiscreteSpectralData:
             raise InvalidData("need at least one atom")
         if np.any(np.diff(t) <= 0):
             raise InvalidData("atom positions must be strictly increasing")
-
-    @property
-    def t(self):
-        return np.array([a.t for a in self.atoms], dtype=float)
-
-    @property
-    def mu(self):
-        return np.array([a.mu for a in self.atoms], dtype=float)
+        mu = np.array([a.mu for a in atoms], dtype=float)
+        for name, arr in (("t", t), ("mu", mu)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def __len__(self):
         return len(self.atoms)

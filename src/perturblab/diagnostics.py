@@ -13,10 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContourTooClose, DivergentNearRealZero, NotBiorthogonal
+from .errors import (BadParameters, ContourTooClose, DivergentNearRealZero,
+                     NotBiorthogonal)
 from .data import RankOneData, omega_matrix
 from .model import ModelPair
 from .engine import Eigensystem, phi_zeros
+from ._numutil import cabs, cmul
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +259,22 @@ def enumerate_partitions(eigsys: Eigensystem, budget=10000, seed=0):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-def _panel_integral(fn, a, b):
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    vals = np.array([fn(mid + half * x) for x in _GL_NODES])
-    return half * np.sum(_GL_WEIGHTS * vals)
-
-
 def _adaptive_panel(fn, a, b, tol, depth=0):
     """64-point panels, bisected until two levels agree within tol.
 
     Resolves phi'/phi spikes from zeros sitting just off an edge, which a
     fixed panel count can step over while still landing near an integer.
+    fn maps an array of points to an array of values; the 192 nodes of the
+    panel and of its two halves go through one call.
     """
-    whole = _panel_integral(fn, a, b)
     mid = (a + b) / 2.0
-    split = _panel_integral(fn, a, mid) + _panel_integral(fn, mid, b)
+    pieces = ((a, b), (a, mid), (mid, b))
+    half_widths = [(q - p) / 2.0 for p, q in pieces]
+    vals = fn(np.concatenate([(p + q) / 2.0 + h * _GL_NODES
+                              for (p, q), h in zip(pieces, half_widths)]))
+    whole, left, right = (h * np.sum(_GL_WEIGHTS * v)
+                          for h, v in zip(half_widths, np.split(vals, 3)))
+    split = left + right
     if abs(whole - split) <= tol or depth >= 24:
         return split, abs(whole - split)
     left, le = _adaptive_panel(fn, a, mid, tol / 2.0, depth + 1)
@@ -286,70 +289,44 @@ def _phi_poles(model: ModelPair):
     / (R^2 + 1) with R the regular part of rho there.  Newton on the stable
     split form i u + nu_j + u R (u = t_j - z) sharpens each seed, so no
     polynomial coefficients are needed and the routine scales to any
-    truncation.
+    truncation.  All seeds take their Newton steps together, through
+    batched regular parts; a seed stops where its own iteration would:
+    when g' is 0 or not finite, when the step is not finite (it is then not
+    taken), or after a step with |step| <= 1e-15 (1 + |z|).
     """
-    t, nu = model.t, model.nu
-    seeds = []
-    for n in range(t.size):
-        r = model.rho.regular_part(n, t[n]).real
-        seeds.append(t[n] + nu[n] * (r - 1j) / (r * r + 1.0))
-    poles = np.asarray(seeds, dtype=complex)
+    t, nu, rho = model.t, model.nu, model.rho
 
-    def g_and_gprime(z):
-        j = model.rho.nearest_pole(z)
-        u = t[j] - z
-        r = model.rho.regular_part(j, z)
-        rp = model.rho.derivative_regular_part(j, z)
-        return 1j * u + nu[j] + u * r, -1j - r + u * rp
+    def g_and_gprime(zs):
+        js = rho.nearest_poles(zs)
+        u = t[js] - zs
+        r, rp = rho.regular_parts(js, zs)
+        return 1j * u + nu[js] + cmul(u, r), -1j - r + cmul(u, rp)
 
+    r = rho.regular_parts(np.arange(t.size), t)[0].real
+    poles = t + nu * (r - 1j) / (r * r + 1.0)
+    active = np.arange(t.size)
     scale = float(np.max(nu) + 1.0)
-    verified = []
     with np.errstate(all="ignore"):
-        for z0 in poles:
-            z = z0
-            for _ in range(60):
-                gv, gp = g_and_gprime(z)
-                if gp == 0 or not np.isfinite(gp):
-                    break
-                step = gv / gp
-                if not np.isfinite(step):
-                    break
-                z = z - step
-                if abs(step) <= 1e-15 * (1.0 + abs(z)):
-                    break
-            if not np.isfinite(z):
-                continue
-            gv, _ = g_and_gprime(z)
-            if abs(gv) <= 1e-8 * scale:   # discard seeds that never converged
-                verified.append(z)
-    if not verified:
-        return np.array([], dtype=complex)
+        for _ in range(60):
+            if not active.size:
+                break
+            z = poles[active]
+            gv, gp = g_and_gprime(z)
+            step = gv / gp
+            moves = (gp != 0) & np.isfinite(gp) & np.isfinite(step)
+            z = z - step
+            poles[active[moves]] = z[moves]
+            done = ~moves | (cabs(step) <= 1e-15 * (1.0 + cabs(z)))
+            active = active[~done]
+        poles = poles[np.isfinite(poles)]
+        # discard seeds that never converged
+        poles = poles[cabs(g_and_gprime(poles)[0]) <= 1e-8 * scale]
     # deduplicate seeds that collapsed onto the same (simple) pole
     uniq = []
-    for z in sorted(verified, key=lambda w: (w.real, w.imag)):
+    for z in sorted(poles, key=lambda w: (w.real, w.imag)):
         if not uniq or abs(z - uniq[-1]) > 1e-9 * (1.0 + abs(z)):
             uniq.append(z)
     return np.asarray(uniq, dtype=complex)
-
-
-def _pole_depth_bound(model: ModelPair, x1, x2):
-    """Lower bound for |Im| of phi's poles relevant to the window.
-
-    Poles sit where rho = -i, roughly a weight-depth below each atom; the
-    polished pole set gives the exact bound, with the smallest nearby weight
-    as the fallback beyond the rational-form range.
-    """
-    try:
-        poles = _phi_poles(model)
-        rel = poles[(poles.real >= x1 - 1.0) & (poles.real <= x2 + 1.0)]
-        if rel.size:
-            return float(np.min(np.abs(rel.imag)))
-        return float("inf")
-    except Exception:
-        inside = (model.t >= x1 - 1.0) & (model.t <= x2 + 1.0)
-        if not np.any(inside):
-            return float("inf")
-        return float(np.min(model.nu[inside]))
 
 
 @dataclass(frozen=True)
@@ -370,13 +347,21 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
     are enclosed, with the nudge kept clear of the poles of phi in the lower
     half-plane.  The winding integral is refined by doubling the panel count
     until it is within 0.05 of an integer; a certified distance above 0.1
-    raises ContourTooClose.
+    raises ContourTooClose.  A degenerate or non-finite rectangle raises
+    BadParameters.
     """
     x1, x2, y1, y2 = (float(v) for v in rectangle)
-    if x2 <= x1 or y2 <= max(y1, 0.0):
-        raise ValueError("degenerate rectangle")
+    if not (np.all(np.isfinite((x1, x2, y1, y2)))
+            and x1 < x2 and max(y1, 0.0) < y2):
+        raise BadParameters(
+            f"degenerate rectangle {rectangle}: need x1 < x2 and "
+            "max(y1, 0) < y2, all finite")
+    poles = _phi_poles(model)
     if nudge is None:
-        depth = _pole_depth_bound(model, x1, x2)
+        # the smallest pole depth near the window (poles sit where
+        # rho = -i, roughly a weight-depth below each atom)
+        near = poles[(poles.real >= x1 - 1.0) & (poles.real <= x2 + 1.0)]
+        depth = float(np.min(np.abs(near.imag))) if near.size else np.inf
         nudge = min(1e-3 * max(1.0, x2 - x1), 0.25 * depth, 0.2 * y2)
     y_bot = y1 - nudge if y1 == 0.0 else y1
     corners = [complex(x1, y_bot), complex(x2, y_bot),
@@ -398,7 +383,7 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
                                p + (q - p) * (k + 1) / splits_per_seg))
         return panels
 
-    fn = model.log_derivative_phi
+    fn = model.log_derivative_phi_array
     tol = 0.05 * 2.0 * np.pi
     winding = None
     for _ in range(max_refine):
@@ -423,18 +408,12 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
     # poles of phi inside the contour (only possible below the real axis)
     poles_in = 0
     if y_bot < 0:
-        try:
-            poles = _phi_poles(model)
-            poles_in = int(np.sum((poles.real > x1) & (poles.real < x2)
-                                  & (poles.imag > y_bot)
-                                  & (poles.imag < y2)))
-        except Exception:
-            poles_in = 0
+        poles_in = int(np.sum((poles.real > x1) & (poles.real < x2)
+                              & (poles.imag > y_bot) & (poles.imag < y2)))
     count = int(round(winding)) + poles_in
 
-    bdry = []
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        for s in np.linspace(0.0, 1.0, 65)[:-1]:
-            bdry.append(abs(model.phi(a + (b - a) * s)))
-    return WindowReport(count, float(winding), float(min(bdry)),
+    s = np.linspace(0.0, 1.0, 65)[:-1]
+    bdry = cabs(model.phi_array(np.concatenate(
+        [a + (b - a) * s for a, b in zip(corners, corners[1:] + corners[:1])])))
+    return WindowReport(count, float(winding), float(np.min(bdry)),
                         float(nudge), poles_in)

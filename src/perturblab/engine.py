@@ -29,7 +29,7 @@ from .errors import (AdmissibilityError, ChainRequired, DegreeOverflow,
                      OrderTooHigh, SingularGauge)
 from .data import RankOneData, RankNData, validate
 from .model import ModelPair, build_model, kernel_k
-from ._numutil import (cluster_points, matched_max_distance,
+from ._numutil import (cluster_points, cmul, matched_max_distance,
                        hausdorff_distance, numerical_rank, poly_scale,
                        kahan_sum)
 
@@ -201,18 +201,6 @@ class PhiZeros:
     lower: np.ndarray               # conjugates of the phi_tilde zeros
 
 
-def _cmul(x, y):
-    """x * y for complex arrays of one shape, formed componentwise.
-
-    Rounds as numpy's scalar complex multiply does; its complex array
-    multiply may use fused multiply-adds and round differently.
-    """
-    out = np.empty_like(x)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
-
-
 def _aberth_refine(model: ModelPair, roots, iterations=120):
     """Simultaneous root refinement on the stable evaluator.
 
@@ -240,11 +228,11 @@ def _aberth_refine(model: ModelPair, roots, iterations=120):
     nudge = -1e-8 * scale * (1.0 + 1.0j)
     with np.errstate(all="ignore"):
         for _ in range(iterations):
-            js = np.argmin(np.abs(t - roots[:, None]), axis=1)
+            js = beta.nearest_poles(roots)
             u = t[js] - roots
             b, bp = beta.regular_parts(js, roots)
             others = t[cols + (cols >= js[:, None])]
-            logd = ((_cmul(u, bp) - b) / (beta.residues[js] + _cmul(u, b))
+            logd = ((cmul(u, bp) - b) / (beta.residues[js] + cmul(u, b))
                     + np.sum(1.0 / (roots[:, None] - others), axis=1))
             diffs = roots[:, None] - roots
             collided = np.any(np.tril(diffs == 0, -1), axis=1)

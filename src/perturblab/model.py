@@ -27,7 +27,6 @@ discrepancy.  Any other real delta may be passed explicitly.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -35,12 +34,16 @@ from numpy.polynomial import polynomial as P
 from .errors import (AdmissibilityError, BadParameters, DegenerateZeta,
                      DegreeOverflow, EvaluationAtPole, MassPresent)
 from .data import EQUALITY_RTOL, RankOneData, validate, classify_real_type
-from ._numutil import kahan_sum, sum_by_abs_pole, poly_scale
+from ._numutil import cmul, kahan_sum, sum_by_abs_pole, poly_scale
 
 #: largest atom count for which polynomial numerator/denominator vectors are built
 MAX_RATIONAL_DEGREE = 512
 #: relative pole guard distance: 1e-8 * (1 + |t_n|)
 POLE_GUARD = 1e-8
+#: elements per block (rows x points) of a batched evaluation: each
+#: temporary of a block stays within 64 KB, whatever the batch size (larger
+#: blocks were no faster and raised the peak resident set by megabytes)
+BATCH_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,7 @@ class CauchyRepresentation:
     residues: np.ndarray
     constant: complex
     _order: np.ndarray = field(init=False, repr=False)
+    _rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         poles = np.asarray(self.poles, dtype=float)
@@ -68,8 +72,11 @@ class CauchyRepresentation:
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "residues", residues)
         object.__setattr__(self, "constant", complex(self.constant))
-        object.__setattr__(self, "_order",
-                           np.argsort(np.abs(poles), kind="stable"))
+        order = np.argsort(np.abs(poles), kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_rank", rank)
 
     def nearest_pole(self, z):
         """Index of the pole closest to z."""
@@ -104,13 +111,15 @@ class CauchyRepresentation:
         tm, wm = t[mask], w[mask]
         return sum_by_abs_pole(tm, wm / (tm - z) ** 2)
 
-    @cached_property
-    def _others_by_abs(self):
-        """Column j: the indices of the poles other than j, in ascending |t|."""
-        n = self.poles.size
-        order = np.broadcast_to(self._order, (n, n))
-        keep = order != np.arange(n)[:, None]
-        return np.ascontiguousarray(order[keep].reshape(n, n - 1).T)
+    def nearest_poles(self, zs):
+        """nearest_pole at every point of zs, in blocks of BATCH_ELEMENTS."""
+        zs = np.asarray(zs, dtype=complex)
+        js = np.empty(zs.shape, dtype=int)
+        step = max(1, BATCH_ELEMENTS // self.poles.size)
+        for k in range(0, zs.size, step):
+            js[k:k + step] = np.argmin(
+                np.abs(self.poles - zs[k:k + step, None]), axis=1)
+        return js
 
     def regular_parts(self, js, zs):
         """Regular parts of F and F' at many points, each at its own pole.
@@ -118,20 +127,34 @@ class CauchyRepresentation:
         Entry k equals regular_part(js[k], zs[k]) and
         derivative_regular_part(js[k], zs[k]) bit for bit: pole js[k] is
         left out and the other terms are summed in ascending-|t| order with
-        Kahan compensation, vectorized along the points.
+        Kahan compensation, vectorized along the points.  Row i of that sum
+        takes the pole of ascending-|t| rank i + (i >= rank of js[k]), and
+        the rows are formed in blocks of at most BATCH_ELEMENTS // points,
+        so the memory in use stays bounded whatever the atom and point
+        counts.
         """
         t, w = self.poles, self.residues
         js = np.asarray(js, dtype=int)
-        idx = self._others_by_abs[:, js]          # (N - 1) x points
-        tm, wm = t[idx], w[idx]
-        d = tm - np.asarray(zs, dtype=complex)
-        # bound to a name, so numpy cannot multiply into this temporary in
-        # place: its in-place complex multiply rounds differently from the
-        # out-of-place one that forms the terms of regular_part
-        diff = 1.0 / d - 1.0 / tm
+        zs = np.asarray(zs, dtype=complex)
+        own = self._rank[js]
+        n_rows = t.size - 1
+        step = max(1, BATCH_ELEMENTS // max(js.size, 1))
+
+        def rows():
+            for i in range(0, n_rows, step):
+                ranks = np.arange(i, min(i + step, n_rows))[:, None]
+                idx = self._order[ranks + (ranks >= own)]
+                tm, wm = t[idx], w[idx]
+                d = tm - zs
+                # bound to a name, so numpy cannot multiply into this
+                # temporary in place: its in-place complex multiply rounds
+                # differently from the out-of-place one of regular_part
+                diff = 1.0 / d - 1.0 / tm
+                yield from np.stack((wm * diff, wm / d ** 2), axis=1)
+
+        sums = np.broadcast_to(kahan_sum(rows()), (2,) + js.shape)
         head = self.constant - w[js] / t[js]
-        return (head + kahan_sum(wm * diff),
-                np.broadcast_to(kahan_sum(wm / d ** 2), js.shape))
+        return head + sums[0], sums[1]
 
 
 def _product_polys(t):
@@ -259,6 +282,20 @@ class ModelPair:
         wj = self.beta.residues[j]
         return 1j * (wj + u * b) / (1j * u + self.nu[j] + u * r)
 
+    def _split_array(self, zs):
+        """_split at every point of zs: (zs, nearest atoms js, u)."""
+        zs = np.asarray(zs, dtype=complex)
+        js = self.beta.nearest_poles(zs)
+        return zs, js, self.t[js] - zs
+
+    def phi_array(self, zs):
+        """phi at every point of zs, bit for bit the values of phi."""
+        zs, js, u = self._split_array(zs)
+        b, _ = self.beta.regular_parts(js, zs)
+        r, _ = self.rho.regular_parts(js, zs)
+        wj = self.beta.residues[js]
+        return 1j * (wj + cmul(u, b)) / (1j * u + self.nu[js] + cmul(u, r))
+
     def phi_tilde(self, z):
         """phi_tilde(z) = Theta(z) * conj(phi(conj(z))), via conjugated data."""
         j, u = self._split(z)
@@ -297,6 +334,19 @@ class ModelPair:
         num = wj + u * b
         den = 1j * u + nj + u * r
         return (u * bp - b) / num - (u * rp - r - 1j) / den
+
+    def log_derivative_phi_array(self, zs):
+        """log_derivative_phi at every point of zs, bit for bit.
+
+        Products of two complex arrays are formed componentwise (cmul), as
+        the scalar multiply rounds.
+        """
+        zs, js, u = self._split_array(zs)
+        b, bp = self.beta.regular_parts(js, zs)
+        r, rp = self.rho.regular_parts(js, zs)
+        num = self.beta.residues[js] + cmul(u, b)
+        den = 1j * u + self.nu[js] + cmul(u, r)
+        return (cmul(u, bp) - b) / num - (cmul(u, rp) - r - 1j) / den
 
     def phi_prime(self, z):
         return self.phi(z) * self.log_derivative_phi(z)

@@ -23,6 +23,21 @@ def problem_file(tmp_path):
     return path
 
 
+def run_fresh(argv, out):
+    """The CLI in a fresh interpreter, so an uncaught exception would show
+    as a traceback on stderr."""
+    import os
+    import subprocess
+    import sys
+
+    import perturblab
+    src = os.path.dirname(os.path.dirname(perturblab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "perturblab.cli", "--quiet", "--out", str(out)]
+        + [str(a) for a in argv], capture_output=True, text=True, env=env)
+
+
 def read_artifact(out_dir, command, name):
     hits = list((out_dir / command).glob(f"*/{name}.json"))
     assert len(hits) == 1
@@ -58,20 +73,21 @@ class TestExitCodes:
                      "compare", str(path)]) == 2
 
     def test_non_unimodular_zeta_exit_two(self, problem_file):
-        # a fresh interpreter, so an uncaught exception would show as a
-        # traceback on stderr
-        import os
-        import subprocess
-        import sys
+        proc = run_fresh(["clark", problem_file, "--zeta", "2,0"],
+                         problem_file.parent / "out")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "BadParameters" in proc.stderr
 
-        import perturblab
-        src = os.path.dirname(os.path.dirname(perturblab.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "perturblab.cli", "--quiet", "--out",
-             str(problem_file.parent / "out"), "clark", str(problem_file),
-             "--zeta", "2,0"],
-            capture_output=True, text=True, env=env)
+    @pytest.mark.parametrize("argv", [
+        ["diagnose", "volterra-window", "{problem}", "--rect=3,1,0,1"],
+        ["diagnose", "volterra-window", "{problem}", "--rect=a,b,c,d"],
+        ["gallery", "sharp", "--eps", "1", "--n", "20", "--rect=3,1,0,1"],
+        ["gallery", "sharp", "--eps", "1", "--n", "20", "--rect=x,1,0,1"],
+    ])
+    def test_bad_rectangle_exit_two(self, problem_file, argv):
+        argv = [a.format(problem=problem_file) for a in argv]
+        proc = run_fresh(argv, problem_file.parent / "out")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "BadParameters" in proc.stderr

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from perturblab.errors import DivergentNearRealZero
+from perturblab.errors import BadParameters, DivergentNearRealZero
 from perturblab.model import build_model
 from perturblab.engine import eigensystem, phi_zeros
-from perturblab.diagnostics import (enumerate_partitions, growth_profile,
+from perturblab.diagnostics import (WindowReport, _phi_poles,
+                                    enumerate_partitions, growth_profile,
                                     integral_test, macaev_check, mass_detect,
                                     synthesis_defect, volterra_window_check)
+from perturblab.gallery import sharp_instance
 
 from conftest import make_data, random_instance, separated_instance
 
@@ -258,6 +260,80 @@ class TestWindow:
                             & (zeros.imag > -rep.nudge)
                             & (zeros.imag < y2)))
         assert rep.count == inside
+
+    def test_reports_are_pinned(self):
+        # the values the one-point-at-a-time evaluation gave, bit for bit
+        m = build_model(separated_instance(
+            np.random.Generator(np.random.Philox(7)), 30))
+        assert volterra_window_check(m, (-10.0, 4.0, 0.3, 2.5)) == \
+            WindowReport(0, 7.250780830633269e-07, 0.3238323180539666,
+                         0.013084807907287443, 0)
+        assert volterra_window_check(m, (-21.0, 21.0, 0.0, 3.0)) == \
+            WindowReport(25, 24.99999815211906, 0.1482904479939786,
+                         0.011052106570849617, 0)
+        m = build_model(sharp_instance(1.0, 0.0, 0.0, 60).data)
+        assert volterra_window_check(m, (0.1, 20.0, 0.0, 4.0)) == \
+            WindowReport(0, -8.942749341702598e-10, 0.013859014422947664,
+                         0.00753374924573953, 0)
+
+    @pytest.mark.parametrize("rect", [(3.0, 1.0, 0.0, 1.0),
+                                      (0.0, 1.0, 2.0, 1.0),
+                                      (0.0, 1.0, -1.0, -0.5),
+                                      (0.0, float("nan"), 0.0, 1.0)])
+    def test_degenerate_rectangle(self, two_atom, rect):
+        with pytest.raises(BadParameters):
+            volterra_window_check(build_model(two_atom), rect)
+
+
+def scalar_phi_poles(model):
+    """Reference: Newton from each seed in turn, one point at a time."""
+    t, nu = model.t, model.nu
+    seeds = []
+    for n in range(t.size):
+        r = model.rho.regular_part(n, t[n]).real
+        seeds.append(t[n] + nu[n] * (r - 1j) / (r * r + 1.0))
+
+    def g_and_gprime(z):
+        j = model.rho.nearest_pole(z)
+        u = t[j] - z
+        r = model.rho.regular_part(j, z)
+        rp = model.rho.derivative_regular_part(j, z)
+        return 1j * u + nu[j] + u * r, -1j - r + u * rp
+
+    verified = []
+    with np.errstate(all="ignore"):
+        for z in seeds:
+            for _ in range(60):
+                gv, gp = g_and_gprime(z)
+                if gp == 0 or not np.isfinite(gp):
+                    break
+                step = gv / gp
+                if not np.isfinite(step):
+                    break
+                z = z - step
+                if abs(step) <= 1e-15 * (1.0 + abs(z)):
+                    break
+            if np.isfinite(z) and \
+                    abs(g_and_gprime(z)[0]) <= 1e-8 * float(np.max(nu) + 1.0):
+                verified.append(z)
+    uniq = []
+    for z in sorted(verified, key=lambda w: (w.real, w.imag)):
+        if not uniq or abs(z - uniq[-1]) > 1e-9 * (1.0 + abs(z)):
+            uniq.append(z)
+    return np.asarray(uniq, dtype=complex)
+
+
+class TestPhiPoles:
+    @pytest.mark.parametrize("n", [1, 8, 30, 100])
+    def test_batched_newton_is_bitwise_scalar(self, rng, n):
+        data = random_instance(rng, n) if n < 100 else \
+            separated_instance(rng, n)
+        m = build_model(data)
+        assert _phi_poles(m).tobytes() == scalar_phi_poles(m).tobytes()
+
+    def test_sharp_instance(self):
+        m = build_model(sharp_instance(1.0, 0.0, 0.0, 60).data)
+        assert _phi_poles(m).tobytes() == scalar_phi_poles(m).tobytes()
 
 
 class TestErrorPaths:

@@ -146,6 +146,18 @@ class TestEvaluation:
             assert m.phi_tilde(z) == pytest.approx(expected, rel=1e-11)
 
 
+def sample_points(rng, t, k):
+    """k random points, then points inside the pole guard and exactly at
+    up to k atoms (all atoms when there are fewer)."""
+    near = t if t.size <= k else rng.choice(t, k, replace=False)
+    guard = 1e-8 * (1.0 + np.abs(near))
+    return np.concatenate([
+        rng.uniform(-25.0, 25.0, k) + 1j * rng.uniform(-3.0, 3.0, k),
+        near + rng.uniform(-0.5, 0.5, near.size) * guard,
+        near.astype(complex),
+    ])
+
+
 class TestRegularParts:
     """The batched regular parts against the scalar ones, point by point.
 
@@ -155,7 +167,8 @@ class TestRegularParts:
 
     @staticmethod
     def check(rep, zs):
-        js = np.argmin(np.abs(rep.poles - zs[:, None]), axis=1)
+        js = rep.nearest_poles(zs)
+        assert js.tolist() == [rep.nearest_pole(z) for z in zs]
         b, bp = rep.regular_parts(js, zs)
         assert np.all(np.isfinite(b)) and np.all(np.isfinite(bp))
         scalar = np.array([rep.regular_part(j, z) for j, z in zip(js, zs)])
@@ -178,6 +191,44 @@ class TestRegularParts:
         ])
         for rep in (m.beta, m.rho):
             self.check(rep, zs)
+
+    def test_500_atoms_in_several_blocks(self, rng):
+        # 93 points: the 499 rows take several blocks (44 rows per block at
+        # 4096 elements), and so does the nearest-pole search
+        m = build_model(separated_instance(rng, 500))
+        zs = sample_points(rng, m.t, 31)
+        for rep in (m.beta, m.rho):
+            self.check(rep, zs)
+
+    def test_memory_is_bounded(self, rng):
+        # gathered into (atoms - 1) x points arrays, 500 atoms x 4096
+        # points took well over 100 MB
+        import tracemalloc
+
+        m = build_model(separated_instance(rng, 500))
+        zs = rng.uniform(-25.0, 25.0, 4096) + 1j * rng.uniform(-3.0, 3.0, 4096)
+        tracemalloc.start()
+        try:
+            m.log_derivative_phi_array(zs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+class TestArrayForms:
+    """phi_array and log_derivative_phi_array against the scalar methods."""
+
+    @pytest.mark.parametrize("n, k", [(1, 5), (7, 21), (60, 333), (500, 41)])
+    def test_bitwise_equal_to_scalar(self, rng, n, k):
+        data = random_instance(rng, n) if n < 60 else \
+            separated_instance(rng, n)
+        m = build_model(data)
+        zs = sample_points(rng, m.t, k)
+        phi = np.array([m.phi(z) for z in zs])
+        logd = np.array([m.log_derivative_phi(z) for z in zs])
+        assert m.phi_array(zs).tobytes() == phi.tobytes()
+        assert m.log_derivative_phi_array(zs).tobytes() == logd.tobytes()
 
 
 class TestDeBranges:
