@@ -106,12 +106,3 @@ def cluster_points(points, radius):
     mults = [len(m) for m in members]
     return np.asarray(centers), np.asarray(mults, dtype=int)
 
-
-def poly_scale(coeffs):
-    """Scale a coefficient vector by its max-|coefficient| (returns copy)."""
-    c = np.asarray(coeffs, dtype=complex)
-    m = np.max(np.abs(c)) if c.size else 0.0
-    if m == 0.0:
-        return c.copy()
-    return c / m
-

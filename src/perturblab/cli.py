@@ -28,12 +28,14 @@ from . import gallery as gal
 
 
 def _parse_complex(text):
+    """A complex option given as 're' or 're,im'."""
     parts = str(text).split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise click.UsageError(f"cannot parse complex value {text!r}")
+    if len(parts) > 2:
+        raise click.UsageError(f"cannot parse complex value {text!r}")
+    try:
+        return complex(*(float(p) for p in parts))
+    except ValueError:
+        raise BadParameters(f"complex values must be numbers, got {text!r}")
 
 
 def _parse_rect(text):
@@ -467,12 +469,18 @@ def ml_cmd(cfg, z, n_terms):
 def _read_spectrum_file(path):
     import json as _json
 
-    doc = _json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = _json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise InvalidProblem(f"cannot read spectrum file {path}: {exc}")
     if isinstance(doc, dict):
         doc = doc.get("t")
     if not isinstance(doc, list):
         raise InvalidProblem("spectrum file must be a JSON array (or {'t': [...]})")
-    return np.asarray(doc, dtype=float)
+    try:
+        return np.asarray(doc, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidProblem("spectrum file entries must be numbers")
 
 
 @gallery_group.command("section4")

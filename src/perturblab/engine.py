@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import (AdmissibilityError, ChainRequired, DegreeOverflow,
-                     EigensolveFailure, NoInvertibleShift, NotMinimal,
-                     OrderTooHigh, SingularGauge)
+from .errors import (AdmissibilityError, ChainRequired, EigensolveFailure,
+                     NoInvertibleShift, NotMinimal, OrderTooHigh,
+                     SingularGauge)
 from .data import RankOneData, RankNData, validate
 from .model import ModelPair, build_model, kernel_k
 from ._numutil import (cluster_points, cmul, matched_max_distance,
-                       hausdorff_distance, numerical_rank, poly_scale,
-                       kahan_sum)
+                       hausdorff_distance, numerical_rank, kahan_sum,
+                       sum_by_abs_pole)
 
 #: relative residual allowed for the algebraic-inverse identity
 INVERSE_RTOL = 1e-10
@@ -201,16 +201,27 @@ class PhiZeros:
     lower: np.ndarray               # conjugates of the phi_tilde zeros
 
 
+def _sum_inverse_differences(zs, points, skip):
+    """sum_m 1/(zs[k] - points[m]) over m != skip[k], for every k.
+
+    One (zs x points) array, formed and inverted in place, with each
+    row's skipped term zeroed.
+    """
+    inv = zs[:, None] - points
+    np.reciprocal(inv, out=inv)
+    inv[np.arange(zs.size), skip] = 0.0
+    return np.sum(inv, axis=1)
+
+
 def _aberth_refine(model: ModelPair, roots, iterations=120):
     """Simultaneous root refinement on the stable evaluator.
 
-    Monomial-basis companion roots degrade around degree ~100 for atoms
-    spread over tens of units; Aberth-Ehrlich corrections driven by the
-    partial-fraction log-derivative of the beta numerator recover them
-    without ever forming big polynomial values.  With u = t_j - z for the
-    atom nearest a root z, that numerator factors as
-    (w_j + u B)(prod_{m != j} (t_m - z)) up to a constant, so its
-    logarithmic derivative is (u B' - B)/(w_j + u B) + sum_{m != j} 1/(z - t_m).
+    Aberth-Ehrlich corrections driven by the partial-fraction
+    log-derivative of the beta numerator polish the roots without ever
+    forming big polynomial values.  With u = t_j - z for the atom nearest
+    a root z, that numerator factors as (w_j + u B)(prod_{m != j} (t_m - z))
+    up to a constant, so its logarithmic derivative is
+    (u B' - B)/(w_j + u B) + sum_{m != j} 1/(z - t_m).
 
     Each iteration is one Jacobi-style step over all roots at once (as in
     MPSolve, Bini & Robol 2014): every correction comes from the same
@@ -220,24 +231,19 @@ def _aberth_refine(model: ModelPair, roots, iterations=120):
     whose correction is not finite stay put.
     """
     roots = np.array(roots, dtype=complex)
-    n = roots.size
+    rows = np.arange(roots.size)
     t, beta = model.t, model.beta
     scale = max(1.0, float(np.max(np.abs(t))))
-    cols = np.arange(t.size - 1)
-    off_diagonal = ~np.eye(n, dtype=bool)
     nudge = -1e-8 * scale * (1.0 + 1.0j)
     with np.errstate(all="ignore"):
         for _ in range(iterations):
             js = beta.nearest_poles(roots)
             u = t[js] - roots
             b, bp = beta.regular_parts(js, roots)
-            others = t[cols + (cols >= js[:, None])]
             logd = ((cmul(u, bp) - b) / (beta.residues[js] + cmul(u, b))
-                    + np.sum(1.0 / (roots[:, None] - others), axis=1))
-            diffs = roots[:, None] - roots
-            collided = np.any(np.tril(diffs == 0, -1), axis=1)
-            diffs = diffs[off_diagonal].reshape(n, n - 1)
-            denom = logd - np.sum(1.0 / diffs, axis=1)
+                    + _sum_inverse_differences(roots, t, js))
+            collided = np.any(np.tril(roots[:, None] == roots, -1), axis=1)
+            denom = logd - _sum_inverse_differences(roots, roots, rows)
             step = 1.0 / denom
             ok = (denom != 0) & np.isfinite(denom) & np.isfinite(step)
             steps = np.where(collided, nudge, np.where(ok, step, 0.0))
@@ -250,38 +256,24 @@ def _aberth_refine(model: ModelPair, roots, iterations=120):
 def phi_zeros(model: ModelPair):
     """Zeros of the generating function, classified by half-plane.
 
-    Roots of the numerator polynomial of beta via the balanced companion
-    matrix, Newton-polished (Aberth-polished against the stable evaluator
-    for larger truncations); this multiset is the full model spectrum:
-    zeros of phi in the closed upper half-plane together with the
+    The zeros of beta(z) = c + sum_n w_n/(t_n - z), with c = beta(infinity),
+    are the eigenvalues of the diagonal-plus-rank-one matrix
+    diag(t) + (w/c) 1^T, since det(D + u v^T) = det(D)(1 + v^T D^{-1} u)
+    (the secular linearization of Bini & Robol, MPSolve 3, JCAM 2014).
+    Those eigenvalues seed an Aberth refinement against the stable
+    evaluator, which keeps the model route anchored to phi itself rather
+    than to a second dense eigensolve.  This multiset is the full model
+    spectrum: zeros of phi in the closed upper half-plane together with the
     conjugated zeros of phi_tilde from the lower one.
     """
-    forms = model.rational()
-    num = poly_scale(forms.num_beta)
-    num = np.trim_zeros(num, "b")
-    if num.size <= 1:
-        empty = np.array([], dtype=complex)
-        return PhiZeros(empty, empty, np.array([], dtype=int),
-                        empty, empty, empty)
-    # a genuine degree drop comes only from kappa meeting the pairing sum
-    # (one order, two when the residues also sum to zero); anything steeper,
-    # or a leading coefficient driven into the underflow range, means the
-    # monomial basis collapsed at this atom spread and the companion route
-    # would silently lose zeros
-    min_degree = model.t.size if model.report.condition_A else model.t.size - 2
-    if num.size - 1 < min_degree or abs(num[-1]) < 1e-250:
-        raise DegreeOverflow(
-            "numerator coefficients underflow at this atom spread; "
-            "use contour counting instead of the companion route")
-    roots = P.polyroots(num)
-    dnum = P.polyder(num)
-    for _ in range(3):
-        vals = P.polyval(roots, num)
-        dvals = P.polyval(roots, dnum)
-        ok = np.abs(dvals) > 1e-14
-        roots = np.where(ok, roots - vals / np.where(ok, dvals, 1.0), roots)
-    if roots.size >= 16:
-        roots = _aberth_refine(model, roots)
+    t, w = model.t, model.beta.residues
+    c = model.beta.constant - sum_by_abs_pole(t, w / t)
+    if c == 0:
+        raise AdmissibilityError(
+            "beta vanishes at infinity; the model route has no linearization")
+    mat = np.outer(w / c, np.ones(t.size))
+    mat[np.diag_indices(t.size)] += t
+    roots = _aberth_refine(model, np.linalg.eigvals(mat))
     scale = max(1.0, float(np.max(np.abs(roots))))
     centers, mults = cluster_points(roots, CLUSTER_RTOL * scale)
     im_tol = 1e-9 * scale

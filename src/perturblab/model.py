@@ -34,7 +34,7 @@ from numpy.polynomial import polynomial as P
 from .errors import (AdmissibilityError, BadParameters, DegenerateZeta,
                      DegreeOverflow, EvaluationAtPole, MassPresent)
 from .data import EQUALITY_RTOL, RankOneData, validate, classify_real_type
-from ._numutil import cmul, kahan_sum, sum_by_abs_pole, poly_scale
+from ._numutil import cmul, kahan_sum, sum_by_abs_pole
 
 #: largest atom count for which polynomial numerator/denominator vectors are built
 MAX_RATIONAL_DEGREE = 512
@@ -371,7 +371,12 @@ class ModelPair:
     # -- rational normal form ----------------------------------------------
 
     def rational(self):
-        """Polynomial numerator/denominator vectors (N <= 512 atoms)."""
+        """Polynomial numerator/denominator vectors (N <= 512 atoms).
+
+        Of the package, only root_chain reads them: the model zeros and the
+        Clark atoms come from diagonal-plus-rank-one eigensolves, and wide
+        atom spreads underflow this monomial basis long before the cap.
+        """
         if self._rational is not None:
             return self._rational
         t = self.t
@@ -525,16 +530,6 @@ class ClarkMeasure:
     q: float
 
 
-def _scaled_real_roots(coeffs):
-    """Real roots of a polynomial given low-to-high, via scaled companion."""
-    c = np.asarray(coeffs, dtype=complex)
-    c = np.trim_zeros(c, "b")
-    if c.size <= 1:
-        return np.array([])
-    roots = P.polyroots(poly_scale(c))
-    return roots
-
-
 def clark_measure(model: ModelPair, zeta):
     """Clark measure of the model's Theta at unimodular zeta."""
     zeta = complex(zeta)
@@ -549,15 +544,15 @@ def clark_measure(model: ModelPair, zeta):
         atoms = t.copy()
         weights = nu.copy()
     else:
-        forms = model.rational()
-        # Theta(t) = zeta  <=>  i(1 - zeta) den - (1 + zeta) num_rho = 0
-        pz = P.polysub(1j * (1.0 - zeta) * forms.den,
-                       (1.0 + zeta) * forms.num_rho)
-        roots = _scaled_real_roots(pz)
-        if np.any(np.abs(roots.imag) > 1e-6 * (1.0 + np.abs(roots.real))):
-            raise DegenerateZeta("complex solutions of Theta = zeta; "
-                                 "degenerate configuration")
-        atoms = np.sort(roots.real)
+        # Theta(x) = zeta  <=>  rho(x) = r with r real, and rho(x) - r =
+        # g + sum nu_n/(t_n - x): its zeros are the eigenvalues of the
+        # symmetric diagonal-plus-rank-one matrix below, one per gap
+        r = (1j * (1.0 - zeta) / (1.0 + zeta)).real
+        g = model.delta_infinity - r
+        s = np.sqrt(nu / abs(g))
+        mat = np.copysign(1.0, g) * np.outer(s, s)
+        mat[np.diag_indices(t.size)] += t
+        atoms = np.linalg.eigvalsh(mat)
         # Newton polish on Theta - zeta using the stable evaluator
         for _ in range(3):
             f = np.array([model.theta(x) - zeta for x in atoms])

@@ -92,6 +92,20 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "BadParameters" in proc.stderr
 
+    @pytest.mark.parametrize("argv, error", [
+        (["model", "eval", "{problem}", "--z", "a,b"], "BadParameters"),
+        (["clark", "{problem}", "--zeta=x,0"], "BadParameters"),
+        (["gallery", "lacunary", "--spectrum", "{text}"], "InvalidProblem"),
+    ])
+    def test_unparsable_input_exit_two(self, problem_file, argv, error):
+        text = problem_file.parent / "spectrum.txt"
+        text.write_text("1 2 3\n")
+        argv = [a.format(problem=problem_file, text=text) for a in argv]
+        proc = run_fresh(argv, problem_file.parent / "out")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert error in proc.stderr
+
     def test_forced_tolerance_failure_exit_three(self, tmp_path):
         # complex-type data leave a nonzero (machine-level) residual, so an
         # absurdly small tolerance must trip exit code 3

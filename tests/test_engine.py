@@ -137,6 +137,12 @@ class TestPhiZeros:
         assert np.sort(zeros.zeros.real) == pytest.approx(
             [1 - np.sqrt(2), 1 + np.sqrt(2)])
 
+    def test_beta_vanishing_at_infinity_is_refused(self):
+        # kappa = w_1/t_1 + w_2/t_2 exactly, so beta(infinity) = 0
+        data = make_data([1.0, 2.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], 1.5)
+        with pytest.raises(AdmissibilityError):
+            phi_zeros(build_model(data, strict=False))
+
     def test_complex_type_cross_validation(self, two_atom):
         data = make_data([-1.0, 1.0], [1, 1], [1, 1], [1, 1j], 1.0)
         res = compute_spectrum(data)
@@ -151,11 +157,19 @@ def separated_200():
 
 
 class TestLargeTruncation:
-    """200 separated atoms: the companion roots are poor, so the Aberth
-    refinement does the work."""
+    """Separated atoms on [-20, 20], where a monomial basis of the beta
+    numerator underflows from a few hundred atoms on."""
 
     def test_model_route_matches_oracle(self, separated_200):
         data, eigs, scale = separated_200
+        zeros = phi_zeros(build_model(data))
+        assert matched_max_distance(eigs, zeros.zeros) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("n", [400, 800])
+    def test_model_route_matches_oracle_beyond_200(self, n):
+        data = separated_instance(np.random.Generator(np.random.Philox(n)), n)
+        eigs = oracle_spectrum(build_matrix(data)).eigenvalues
+        scale = max(1.0, float(np.max(np.abs(eigs))))
         zeros = phi_zeros(build_model(data))
         assert matched_max_distance(eigs, zeros.zeros) <= 1e-10 * scale
 

@@ -96,15 +96,20 @@ class TestZeroFreeness:
         rep = volterra_window_check(m, (0.05, 20.0, 0.0, 5.0))
         assert rep.count >= 1
 
-    def test_sharp_rational_form_underflow_is_flagged(self):
-        # the monomial basis collapses for these widely spread atoms; the
-        # companion route must refuse rather than lose zeros
-        from perturblab.engine import phi_zeros
-        from perturblab.errors import DegreeOverflow
+    def test_sharp_model_route_matches_oracle(self):
+        # the monomial basis of the numerator underflows for these widely
+        # spread atoms; the secular linearization of phi_zeros does not
+        from perturblab.engine import build_matrix, oracle_spectrum, phi_zeros
+        from perturblab._numutil import matched_max_distance
 
         inst = sharp_instance(1.0, 0.0, 0.0, 120)
-        with pytest.raises(DegreeOverflow):
-            phi_zeros(build_model(inst.data))
+        m = build_model(inst.data)
+        eigs = oracle_spectrum(build_matrix(inst.data)).eigenvalues
+        scale = max(1.0, float(np.max(np.abs(eigs))))
+        zeros = phi_zeros(m)
+        assert matched_max_distance(eigs, zeros.zeros) <= 1e-10 * scale
+        assert zeros.upper.size > 0
+        assert max(abs(m.phi(z)) for z in zeros.upper) <= 1e-12
 
 
 class TestLacunary:
