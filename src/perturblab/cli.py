@@ -183,8 +183,8 @@ def _spectrum_payload(res, data):
     return {
         "oracle": [problemio.complex_to_pair(z) for z in
                    np.sort_complex(res.eigenvalues)],
-        "model_zeros": [problemio.complex_to_pair(z) for z in
-                        np.sort_complex(res.phi_zero_set)],
+        "model_zeros": [problemio.complex_to_pair(z)
+                        for z in res.phi_zero_set],
         "match_residual": res.match_residual,
         "hausdorff": res.hausdorff,
         "jordan": jordan,

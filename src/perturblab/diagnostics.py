@@ -16,9 +16,9 @@ import numpy as np
 from .errors import (BadParameters, ContourTooClose, DivergentNearRealZero,
                      NotBiorthogonal)
 from .data import RankOneData, omega_matrix
-from .model import ModelPair
-from .engine import Eigensystem, phi_zeros
-from ._numutil import cabs, cmul
+from .model import CauchyRepresentation, ModelPair
+from .engine import Eigensystem, _aberth_refine, phi_zeros
+from ._numutil import cabs
 
 
 # ---------------------------------------------------------------------------
@@ -230,22 +230,23 @@ def synthesis_defect(eigsys: Eigensystem, partition):
 def enumerate_partitions(eigsys: Eigensystem, budget=10000, seed=0):
     """Worst synthesis defect over partitions.
 
-    Exhaustive for n <= 12 (2^n partitions); beyond that, `budget` partitions
-    drawn from a counter-based generator seeded with `seed`.
+    Exhaustive for n <= 12 (2^n partitions); beyond that, `budget`
+    partitions, each drawn as n random bits from a counter-based generator
+    seeded with `seed`.  Bit j of a partition puts index j into J2.
     """
     n = eigsys.eigenvalues.size
-    worst = None
-    checked = 0
+    index = np.arange(n)
     if n <= 12:
-        masks = range(2 ** n)
+        draws = ((mask >> index) & 1 for mask in range(2 ** n))
+    elif budget < 1:
+        raise BadParameters(f"budget must be positive, got {budget}")
     else:
         rng = np.random.Generator(np.random.Philox(seed))
-        masks = (int(m) for m in
-                 rng.integers(0, 2 ** n, size=budget, dtype=np.uint64))
-    for mask in masks:
-        j1 = tuple(j for j in range(n) if (mask >> j) & 1 == 0)
-        j2 = tuple(j for j in range(n) if (mask >> j) & 1)
-        d = synthesis_defect(eigsys, (j1, j2))
+        draws = (rng.integers(0, 2, size=n) for _ in range(budget))
+    worst = None
+    checked = 0
+    for bits in draws:
+        d = synthesis_defect(eigsys, (index[bits == 0], index[bits == 1]))
         checked += 1
         if worst is None or d.sigma_min < worst.sigma_min:
             worst = d
@@ -275,7 +276,7 @@ def _adaptive_panel(fn, a, b, tol, depth=0):
     whole, left, right = (h * np.sum(_GL_WEIGHTS * v)
                           for h, v in zip(half_widths, np.split(vals, 3)))
     split = left + right
-    if abs(whole - split) <= tol or depth >= 24:
+    if abs(whole - split) <= tol or depth >= 24 or not np.isfinite(split):
         return split, abs(whole - split)
     left, le = _adaptive_panel(fn, a, mid, tol / 2.0, depth + 1)
     right, re_ = _adaptive_panel(fn, mid, b, tol / 2.0, depth + 1)
@@ -283,50 +284,19 @@ def _adaptive_panel(fn, a, b, tol, depth=0):
 
 
 def _phi_poles(model: ModelPair):
-    """Poles of phi: the solutions of rho(z) = -i, Newton-polished.
+    """Poles of phi: the N zeros of i + rho.
 
-    One pole sits below each atom; to first order at z = t_n + nu_n (R - i)
-    / (R^2 + 1) with R the regular part of rho there.  Newton on the stable
-    split form i u + nu_j + u R (u = t_j - z) sharpens each seed, so no
-    polynomial coefficients are needed and the routine scales to any
-    truncation.  All seeds take their Newton steps together, through
-    batched regular parts; a seed stops where its own iteration would:
-    when g' is 0 or not finite, when the step is not finite (it is then not
-    taken), or after a step with |step| <= 1e-15 (1 + |z|).
+    i + rho is the Cauchy transform with the poles and weights of rho and
+    the constant i + delta; at infinity it is i + rho(infinity) != 0, so it
+    has exactly N zeros, one below each atom.  To first order that zero
+    sits at t_n + nu_n (R - i)/(R^2 + 1), with R the regular part of rho
+    at t_n, and these seeds start the batched Aberth refinement
+    (engine._aberth_refine) that polishes all N together.
     """
     t, nu, rho = model.t, model.nu, model.rho
-
-    def g_and_gprime(zs):
-        js = rho.nearest_poles(zs)
-        u = t[js] - zs
-        r, rp = rho.regular_parts(js, zs)
-        return 1j * u + nu[js] + cmul(u, r), -1j - r + cmul(u, rp)
-
     r = rho.regular_parts(np.arange(t.size), t)[0].real
-    poles = t + nu * (r - 1j) / (r * r + 1.0)
-    active = np.arange(t.size)
-    scale = float(np.max(nu) + 1.0)
-    with np.errstate(all="ignore"):
-        for _ in range(60):
-            if not active.size:
-                break
-            z = poles[active]
-            gv, gp = g_and_gprime(z)
-            step = gv / gp
-            moves = (gp != 0) & np.isfinite(gp) & np.isfinite(step)
-            z = z - step
-            poles[active[moves]] = z[moves]
-            done = ~moves | (cabs(step) <= 1e-15 * (1.0 + cabs(z)))
-            active = active[~done]
-        poles = poles[np.isfinite(poles)]
-        # discard seeds that never converged
-        poles = poles[cabs(g_and_gprime(poles)[0]) <= 1e-8 * scale]
-    # deduplicate seeds that collapsed onto the same (simple) pole
-    uniq = []
-    for z in sorted(poles, key=lambda w: (w.real, w.imag)):
-        if not uniq or abs(z - uniq[-1]) > 1e-9 * (1.0 + abs(z)):
-            uniq.append(z)
-    return np.asarray(uniq, dtype=complex)
+    seeds = t + nu * (r - 1j) / (r * r + 1.0)
+    return _aberth_refine(CauchyRepresentation(t, nu, 1j + model.delta), seeds)
 
 
 @dataclass(frozen=True)
@@ -346,9 +316,9 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
     bottom edge on the real axis is nudged slightly below it so real zeros
     are enclosed, with the nudge kept clear of the poles of phi in the lower
     half-plane.  The winding integral is refined by doubling the panel count
-    until it is within 0.05 of an integer; a certified distance above 0.1
-    raises ContourTooClose.  A degenerate or non-finite rectangle raises
-    BadParameters.
+    until it is within 0.05 of an integer; a certified distance above 0.1,
+    or a phi'/phi not finite on the contour, raises ContourTooClose.  A
+    degenerate or non-finite rectangle raises BadParameters.
     """
     x1, x2, y1, y2 = (float(v) for v in rectangle)
     if not (np.all(np.isfinite((x1, x2, y1, y2)))
@@ -397,6 +367,8 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
             total += val
             err += e
         winding = (total / (2j * np.pi)).real
+        if not np.isfinite(winding):
+            raise ContourTooClose("phi'/phi is not finite on the contour")
         err /= 2.0 * np.pi
         if abs(winding - round(winding)) <= 0.05 and err <= 0.02:
             break

@@ -22,13 +22,13 @@ half-plane with the conjugated zeros of phi_tilde.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import (AdmissibilityError, ChainRequired, EigensolveFailure,
                      NoInvertibleShift, NotMinimal, OrderTooHigh,
                      SingularGauge)
 from .data import RankOneData, RankNData, validate
-from .model import ModelPair, build_model, kernel_k
+from .model import (BATCH_ELEMENTS, CauchyRepresentation, ModelPair,
+                    build_model, kernel_k)
 from ._numutil import (cluster_points, cmul, matched_max_distance,
                        hausdorff_distance, numerical_rank, kahan_sum,
                        sum_by_abs_pole)
@@ -204,43 +204,49 @@ class PhiZeros:
 def _sum_inverse_differences(zs, points, skip):
     """sum_m 1/(zs[k] - points[m]) over m != skip[k], for every k.
 
-    One (zs x points) array, formed and inverted in place, with each
-    row's skipped term zeroed.
+    Blocks of at most BATCH_ELEMENTS (zs x points) entries, each inverted
+    in place with each row's skipped term zeroed; rows sum as if alone.
     """
-    inv = zs[:, None] - points
-    np.reciprocal(inv, out=inv)
-    inv[np.arange(zs.size), skip] = 0.0
-    return np.sum(inv, axis=1)
+    sums = np.empty(zs.size, dtype=complex)
+    step = max(1, BATCH_ELEMENTS // max(points.size, 1))
+    for k in range(0, zs.size, step):
+        inv = zs[k:k + step, None] - points
+        np.reciprocal(inv, out=inv)
+        inv[np.arange(inv.shape[0]), skip[k:k + step]] = 0.0
+        sums[k:k + step] = np.sum(inv, axis=1)
+    return sums
 
 
-def _aberth_refine(model: ModelPair, roots, iterations=120):
-    """Simultaneous root refinement on the stable evaluator.
+def _aberth_refine(rep: CauchyRepresentation, roots, iterations=120):
+    """Simultaneous refinement of the zeros of a Cauchy transform.
 
+    F(z) = c + sum_n w_n/(t_n - z) with c = F(infinity) != 0 has exactly
+    N zeros, those of the degree-N numerator F(z) prod_m (t_m - z).
     Aberth-Ehrlich corrections driven by the partial-fraction
-    log-derivative of the beta numerator polish the roots without ever
-    forming big polynomial values.  With u = t_j - z for the atom nearest
-    a root z, that numerator factors as (w_j + u B)(prod_{m != j} (t_m - z))
-    up to a constant, so its logarithmic derivative is
-    (u B' - B)/(w_j + u B) + sum_{m != j} 1/(z - t_m).
+    log-derivative of that numerator polish all of them without ever
+    forming big polynomial values.  With u = t_j - z for the pole nearest
+    a root z, the numerator factors as (w_j + u R)(prod_{m != j} (t_m - z)),
+    R the regular part of F at t_j, so its logarithmic derivative is
+    (u R' - R)/(w_j + u R) + sum_{m != j} 1/(z - t_m).
 
     Each iteration is one Jacobi-style step over all roots at once (as in
     MPSolve, Bini & Robol 2014): every correction comes from the same
-    iterate, through (roots x atoms) and (roots x roots) arrays, and the
-    regular parts B, B' through CauchyRepresentation.regular_parts.  An
-    iterate that coincides with an earlier one is nudged aside; iterates
-    whose correction is not finite stay put.
+    iterate, through (roots x poles) and (roots x roots) arrays, and the
+    regular parts R, R' through rep.regular_parts.  An iterate that
+    coincides with an earlier one is nudged aside; iterates whose
+    correction is not finite stay put.
     """
     roots = np.array(roots, dtype=complex)
     rows = np.arange(roots.size)
-    t, beta = model.t, model.beta
+    t = rep.poles
     scale = max(1.0, float(np.max(np.abs(t))))
     nudge = -1e-8 * scale * (1.0 + 1.0j)
     with np.errstate(all="ignore"):
         for _ in range(iterations):
-            js = beta.nearest_poles(roots)
+            js = rep.nearest_poles(roots)
             u = t[js] - roots
-            b, bp = beta.regular_parts(js, roots)
-            logd = ((cmul(u, bp) - b) / (beta.residues[js] + cmul(u, b))
+            r, rp = rep.regular_parts(js, roots)
+            logd = ((cmul(u, rp) - r) / (rep.residues[js] + cmul(u, r))
                     + _sum_inverse_differences(roots, t, js))
             collided = np.any(np.tril(roots[:, None] == roots, -1), axis=1)
             denom = logd - _sum_inverse_differences(roots, roots, rows)
@@ -251,6 +257,16 @@ def _aberth_refine(model: ModelPair, roots, iterations=120):
             if np.max(np.abs(steps)) < 1e-14 * scale:
                 break
     return roots
+
+
+def _beta_infinity(beta: CauchyRepresentation):
+    """beta(inf) = c0 - sum_n w_n/t_n; zero only for strict=False models."""
+    t = beta.poles
+    c = beta.constant - sum_by_abs_pole(t, beta.residues / t)
+    if c == 0:
+        raise AdmissibilityError(
+            "beta vanishes at infinity; the model route has no linearization")
+    return c
 
 
 def phi_zeros(model: ModelPair):
@@ -264,16 +280,15 @@ def phi_zeros(model: ModelPair):
     evaluator, which keeps the model route anchored to phi itself rather
     than to a second dense eigensolve.  This multiset is the full model
     spectrum: zeros of phi in the closed upper half-plane together with the
-    conjugated zeros of phi_tilde from the lower one.
+    conjugated zeros of phi_tilde from the lower one.  Every returned array
+    is in np.sort_complex order, so indices into it do not depend on the
+    order in which the eigensolver returns its eigenvalues.
     """
     t, w = model.t, model.beta.residues
-    c = model.beta.constant - sum_by_abs_pole(t, w / t)
-    if c == 0:
-        raise AdmissibilityError(
-            "beta vanishes at infinity; the model route has no linearization")
+    c = _beta_infinity(model.beta)
     mat = np.outer(w / c, np.ones(t.size))
     mat[np.diag_indices(t.size)] += t
-    roots = _aberth_refine(model, np.linalg.eigvals(mat))
+    roots = np.sort_complex(_aberth_refine(model.beta, np.linalg.eigvals(mat)))
     scale = max(1.0, float(np.max(np.abs(roots))))
     centers, mults = cluster_points(roots, CLUSTER_RTOL * scale)
     im_tol = 1e-9 * scale
@@ -435,90 +450,79 @@ def eigensystem(data: RankOneData, model=None, matrix=None):
 
 @dataclass(frozen=True)
 class RootChainReport:
-    lam: complex
+    lam: complex                     # the zero, Newton-polished
     order: int
     constants: np.ndarray            # c with T h_l = z h_l - c phi
-    membership_residuals: np.ndarray # division remainders, relative
+    membership_residuals: np.ndarray # beta^(j)(lam), j < order, relative
     chain_residuals: np.ndarray      # (T - lam) h_l vs h_{l-1}, relative
+
+
+def _taylor_coefficient(beta: CauchyRepresentation, z, j):
+    """beta^(j)(z)/j! as a compensated sum, and the sum of its terms' moduli.
+
+    For j >= 1 the terms are w_n/(t_n - z)^(j+1); for j = 0 they are those
+    of beta(z) itself, its constant and the w_n (1/(t_n - z) - 1/t_n).
+    """
+    t, w = beta.poles, beta.residues
+    if j == 0:
+        terms = np.append(w * (1.0 / (t - z) - 1.0 / t), beta.constant)
+    else:
+        terms = w / (t - z) ** (j + 1)
+    return kahan_sum(terms), float(np.sum(np.abs(terms)))
 
 
 def root_chain(model: ModelPair, lam, k):
     """Verify the chain h_l = phi/(z - lam)^l, l = 1..k, under the model action.
 
-    (T - lam) h_l = h_{l-1} for l >= 2 and 0 for l = 1, with the coupling
-    constant c = 1 at l = 1 and 0 above; all checked as rational identities
-    on the numerator polynomials.
+    lam is a zero of order >= k exactly when beta^(j)(lam) = 0 for j < k.
+    beta^(k-1) has a simple zero there, so lam is first polished by Newton
+    on it; the membership residuals are then the Taylor coefficients
+    beta^(j)(lam)/j!, each over the sum of its terms' moduli.  Given
+    membership, beta(z)/(z - lam)^l = g_l(z) = sum_n w_n (t_n - lam)^-l
+    /(t_n - z) exactly, and h_l = g_l (1 + Theta)/2.  The coupling constant
+    of T h_l = z h_l - c phi is c_l = -s_l/beta(infinity) with
+    s_l = sum_n w_n (t_n - lam)^-l: 1 at l = 1 and 0 above.  The chain
+    residual of (T - lam) h_l = h_{l-1} (= 0 at l = 1) is checked at sample
+    points off the real axis, relative to the sum of the terms' moduli.
     """
-    forms = model.rational()
-    num = forms.phi_num
-    n_deg = len(np.trim_zeros(num, "b")) - 1
-    if k > n_deg:
-        raise OrderTooHigh(f"requested order {k} exceeds degree {n_deg}")
-    scale = np.max(np.abs(num))
-    quotients = [num]
-    mem = []
-    for _ in range(k):
-        q, rem = _synth_div(quotients[-1], lam)
-        mem.append(abs(rem) / scale)
-        quotients.append(q)
-    if max(mem) > 1e-6:
-        raise OrderTooHigh(
-            f"lam={lam} is not a zero of order >= {k}: remainders {mem}")
-    lead = num[n_deg]
-    constants = []
-    chain = []
-    for ell in range(1, k + 1):
-        q = quotients[ell]
-        zq = P.polymulx(q)
-        c = zq[n_deg] / lead if len(zq) > n_deg else 0.0
-        constants.append(c)
-        # (z - lam) h_l - c phi vs h_{l-1}: numerator difference
-        resid_poly = P.polysub(P.polysub(P.polymul(q, [-lam, 1.0]),
-                                         c * np.asarray(num)),
-                               0.0 if ell == 1 else quotients[ell - 1])
-        if ell == 1:
-            # (T - lam) h_1 should vanish entirely
-            resid_poly = P.polysub(P.polymul(q, [-lam, 1.0]), c * np.asarray(num))
-        chain.append(float(np.max(np.abs(resid_poly))) / scale)
-    return RootChainReport(lam, k, np.asarray(constants), np.asarray(mem),
-                           np.asarray(chain))
-
-
-def refine_multiple_root(coeffs, lam, order):
-    """Polish a root of multiplicity `order` via the (order-1)-th derivative.
-
-    Companion roots of a near-multiple cluster carry O(sqrt(eps)) error;
-    the derivative polynomial has a simple, well-conditioned root at the
-    same point, so Newton there recovers full precision.
-    """
-    d = np.asarray(coeffs, dtype=complex)
-    for _ in range(order - 1):
-        d = P.polyder(d)
-    dp = P.polyder(d)
+    beta, t = model.beta, model.t
+    w = beta.residues
+    c_inf = _beta_infinity(beta)
+    if k > t.size:
+        raise OrderTooHigh(f"requested order {k} exceeds degree {t.size}")
     lam = complex(lam)
     for _ in range(60):
-        fv, fpv = P.polyval(lam, d), P.polyval(lam, dp)
-        if fpv == 0:
+        f = _taylor_coefficient(beta, lam, k - 1)[0]
+        fp = _taylor_coefficient(beta, lam, k)[0]
+        # beta^(k-1)/beta^(k) = (f/(k-1)!)/(fp/k!)
+        step = f / (k * fp) if fp != 0 else 0.0
+        if not np.isfinite(step):
             break
-        step = fv / fpv
         lam -= step
         if abs(step) <= 1e-16 * (1.0 + abs(lam)):
             break
-    return lam
-
-
-def _synth_div(coeffs, lam):
-    """Synthetic division by (z - lam); returns (quotient, remainder)."""
-    c = np.trim_zeros(np.asarray(coeffs, dtype=complex), "b")
-    if c.size == 0:
-        return np.array([0.0 + 0.0j]), 0.0 + 0.0j
-    q = np.zeros(max(c.size - 1, 1), dtype=complex)
-    acc = 0.0 + 0.0j
-    for i in range(c.size - 1, 0, -1):
-        acc = c[i] + lam * acc
-        q[i - 1] = acc
-    rem = c[0] + lam * acc
-    return q, rem
+    mem = []
+    for j in range(k):
+        value, size = _taylor_coefficient(beta, lam, j)
+        mem.append(abs(value) / size)
+    if max(mem) > 1e-6:
+        raise OrderTooHigh(
+            f"lam={lam} is not a zero of order >= {k}: residuals {mem}")
+    inverse = 1.0 / (t - lam)
+    constants = np.array([-kahan_sum(w * inverse ** ell) / c_inf
+                          for ell in range(1, k + 1)])
+    chain = np.zeros(k)
+    for z in _probe_points(t):
+        half = model.one_plus_theta(z) / 2.0
+        phi = model.phi(z)
+        prev = 0.0
+        for ell in range(1, k + 1):
+            h = kahan_sum(w * inverse ** ell / (t - z)) * half
+            terms = ((z - lam) * h, -constants[ell - 1] * phi, -prev)
+            chain[ell - 1] = max(chain[ell - 1],
+                                 abs(sum(terms)) / sum(map(abs, terms)))
+            prev = h
+    return RootChainReport(lam, k, constants, np.asarray(mem), chain)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ class EigensolveFailure(PerturbLabError):
     """Dense eigensolver did not converge."""
 
 
-class DegreeOverflow(PerturbLabError):
-    """Rational normal form unavailable at this truncation size."""
-
-
 class ChainRequired(PerturbLabError):
     """Eigenvalue has multiplicity > 1; root-vector chains are needed."""
 

@@ -21,23 +21,20 @@ algebra and remain stable arbitrarily close to (and at) the atoms, where the
 pole of beta cancels against the zero of 1 + Theta.
 
 The free real constant delta in rho defaults to sum_n nu_n / t_n, which makes
-rho(z) = sum_n nu_n/(t_n - z) = B_poly/A_poly exactly, so Theta coincides with
-E*/E for the associated structure pair E = A_poly - i B_poly with no Moebius
-discrepancy.  Any other real delta may be passed explicitly.
+rho(z) = sum_n nu_n/(t_n - z) = B/A exactly, so Theta coincides with E*/E for
+the associated structure pair E = A - iB with no Moebius discrepancy.  Any
+other real delta may be passed explicitly.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import (AdmissibilityError, BadParameters, DegenerateZeta,
-                     DegreeOverflow, EvaluationAtPole, MassPresent)
+                     EvaluationAtPole, MassPresent)
 from .data import EQUALITY_RTOL, RankOneData, validate, classify_real_type
 from ._numutil import cmul, kahan_sum, sum_by_abs_pole
 
-#: largest atom count for which polynomial numerator/denominator vectors are built
-MAX_RATIONAL_DEGREE = 512
 #: relative pole guard distance: 1e-8 * (1 + |t_n|)
 POLE_GUARD = 1e-8
 #: elements per block (rows x points) of a batched evaluation: each
@@ -157,48 +154,6 @@ class CauchyRepresentation:
         return head + sums[0], sums[1]
 
 
-def _product_polys(t):
-    """Coefficients (low-to-high) of prod (1 - z/t_n) and its exclusions.
-
-    Returns (full, leave_one_out) where leave_one_out[n] omits factor n.
-    """
-    n = t.size
-    full = np.array([1.0 + 0.0j])
-    prefix = [full]
-    for tn in t:
-        full = P.polymul(full, [1.0, -1.0 / tn])
-        prefix.append(full)
-    suffix = [np.array([1.0 + 0.0j])]
-    for tn in t[::-1]:
-        suffix.append(P.polymul(suffix[-1], [1.0, -1.0 / tn]))
-    suffix = suffix[::-1]
-    loo = [P.polymul(prefix[k], suffix[k + 1]) for k in range(n)]
-    return full, loo
-
-
-@dataclass(frozen=True)
-class RationalForms:
-    """Numerator/denominator vectors (monomial basis, low-to-high order).
-
-    den is prod (1 - z/t_n); beta = num_beta/den, rho = num_rho/den,
-    phi = i*num_beta/(i*den + num_rho).  num_beta_star carries the
-    conjugated coefficients (the numerator of phi_tilde).
-    """
-
-    den: np.ndarray
-    num_beta: np.ndarray
-    num_rho: np.ndarray
-    num_beta_star: np.ndarray
-
-    @property
-    def phi_num(self):
-        return 1j * self.num_beta
-
-    @property
-    def phi_den(self):
-        return P.polyadd(1j * self.den, self.num_rho)
-
-
 class ModelPair:
     """Evaluators for beta, rho, Theta, phi, phi_tilde of one data set."""
 
@@ -213,7 +168,6 @@ class ModelPair:
         self.rho = CauchyRepresentation(t, self.nu.astype(complex), self.delta)
         self._beta_star = CauchyRepresentation(
             t, np.conj(self.beta.residues), np.conj(data.kappa))
-        self._rational = None
 
     # -- basic quantities -------------------------------------------------
 
@@ -368,37 +322,6 @@ class ModelPair:
             raise ValueError(f"unknown function {which!r}")
         return fn(z)
 
-    # -- rational normal form ----------------------------------------------
-
-    def rational(self):
-        """Polynomial numerator/denominator vectors (N <= 512 atoms).
-
-        Of the package, only root_chain reads them: the model zeros and the
-        Clark atoms come from diagonal-plus-rank-one eigensolves, and wide
-        atom spreads underflow this monomial basis long before the cap.
-        """
-        if self._rational is not None:
-            return self._rational
-        t = self.t
-        if t.size > MAX_RATIONAL_DEGREE:
-            raise DegreeOverflow(
-                f"rational normal form limited to {MAX_RATIONAL_DEGREE} atoms")
-        den, loo = _product_polys(t)
-        w = self.beta.residues
-        num_beta = self.data.kappa * den
-        num_rho = self.delta * den
-        num_beta_star = np.conj(self.data.kappa) * den
-        for n in range(t.size):
-            diff = P.polysub(loo[n], den)
-            num_beta = P.polyadd(num_beta, (w[n] / t[n]) * diff)
-            num_beta_star = P.polyadd(num_beta_star,
-                                      (np.conj(w[n]) / t[n]) * diff)
-            num_rho = P.polyadd(num_rho, (self.nu[n] / t[n]) * diff)
-        forms = RationalForms(den=den, num_beta=num_beta, num_rho=num_rho,
-                              num_beta_star=num_beta_star)
-        self._rational = forms
-        return forms
-
 
 def canonical_delta(data: RankOneData):
     """delta making rho(z) = sum nu_n/(t_n - z) exactly."""
@@ -444,28 +367,19 @@ class DeBrangesPair:
     def __init__(self, zeros, nu):
         self.zeros = np.asarray(zeros, dtype=float)
         self.nu = np.asarray(nu, dtype=float)
-        if self.zeros.size <= MAX_RATIONAL_DEGREE:
-            full, loo = _product_polys(self.zeros)
-            self.A_poly = full.real.copy()
-            b = np.zeros(1)
-            for n in range(self.zeros.size):
-                b = P.polyadd(b, (self.nu[n] / self.zeros[n]) * loo[n].real)
-            self.B_poly = b
-        else:
-            self.A_poly = None
-            self.B_poly = None
 
     def A(self, z):
         return np.prod(1.0 - z / self.zeros)
 
-    def B(self, z):
-        t, nu = self.zeros, self.nu
-        factors = 1.0 - z / t
-        # prefix/suffix products give the leave-one-out values in O(N)
+    def _leave_one_out(self, z):
+        """prod_{m != n} (1 - z/t_m) for every n, by prefix/suffix products."""
+        factors = 1.0 - z / self.zeros
         pre = np.concatenate(([1.0], np.cumprod(factors)[:-1]))
         suf = np.concatenate((np.cumprod(factors[::-1])[-2::-1], [1.0]))
-        loo = pre * suf
-        return kahan_sum((nu / t) * loo)
+        return pre * suf
+
+    def B(self, z):
+        return kahan_sum((self.nu / self.zeros) * self._leave_one_out(z))
 
     def E(self, z):
         return self.A(z) - 1j * self.B(z)
@@ -473,21 +387,6 @@ class DeBrangesPair:
     def E_star(self, z):
         """E*(z) = conj(E(conj z)) = A(z) + iB(z) for real A, B."""
         return self.A(z) + 1j * self.B(z)
-
-    def A_prime(self, z):
-        if self.A_poly is not None:
-            return P.polyval(z, P.polyder(self.A_poly))
-        t = self.zeros
-        factors = 1.0 - z / t
-        pre = np.concatenate(([1.0], np.cumprod(factors)[:-1]))
-        suf = np.concatenate((np.cumprod(factors[::-1])[-2::-1], [1.0]))
-        return kahan_sum((-1.0 / t) * pre * suf)
-
-    def B_prime(self, z):
-        if self.B_poly is not None:
-            return P.polyval(z, P.polyder(self.B_poly))
-        h = 1e-6 * (1.0 + abs(z))
-        return (self.B(z + h) - self.B(z - h)) / (2.0 * h)
 
     def hermite_biehler_margin(self, z):
         """|E(z)| - |E(conj z)|; positive in the open upper half-plane."""
@@ -500,11 +399,19 @@ def build_debranges(data: RankOneData):
 
 
 def debranges_kernel(pair: DeBrangesPair, w, z):
-    """Reproducing kernel K_w(z) = (conj(A(w))B(z) - conj(B(w))A(z)) / (pi (z - conj w))."""
-    aw, bw = np.conj(pair.A(w)), np.conj(pair.B(w))
+    """Reproducing kernel K_w(z) = (conj(A(w))B(z) - conj(B(w))A(z)) / (pi (z - conj w)).
+
+    On the diagonal z = conj w the kernel is A(z)^2 rho'(z)/pi with
+    rho = B/A = sum nu_n/(t_n - z).  Since A(z)/(t_n - z) = loo_n(z)/t_n,
+    loo_n the product without factor n, that is
+    sum_n nu_n (loo_n(z)/t_n)^2/pi, exact at the atoms and free of
+    derivatives of A or B.
+    """
     wbar = np.conj(w)
     if abs(z - wbar) < 1e-9 * (1.0 + abs(z)):
-        return (aw * pair.B_prime(z) - bw * pair.A_prime(z)) / np.pi
+        loo = pair._leave_one_out(z)
+        return kahan_sum(pair.nu * (loo / pair.zeros) ** 2) / np.pi
+    aw, bw = np.conj(pair.A(w)), np.conj(pair.B(w))
     return (aw * pair.B(z) - bw * pair.A(z)) / (np.pi * (z - wbar))
 
 
@@ -594,13 +501,13 @@ def discrete_inner(f_vals, g_vals, weights):
                              * np.asarray(weights, dtype=float))
 
 
-def lebesgue_integral(fn, breakpoints=(), rtol=1e-8, r0=None):
+def lebesgue_integral(fn, breakpoints=(), r0=None):
     """integral over R of fn (rational decay O(x^-2)) by adaptive quadrature.
 
     Gauss-Kronrod on (-R, R) with atom breakpoints, plus the two tails mapped
     to (0, 1] by x = +-R/u, so the rational decay is integrated exactly
-    instead of truncated.  Returns (value, tail_error_estimate); the tail
-    quadrature error is kept below rtol of the total.
+    instead of truncated, all at quad's default tolerances.  Returns (value,
+    tail_error_estimate), the latter the sum of the two tails' estimates.
     """
     from scipy.integrate import quad
 
@@ -663,9 +570,9 @@ class ClarkField:
         """sqrt(sum |u_m|^2 w_m), the l^2(sigma) norm of the input."""
         return float(np.sqrt(np.sum(np.abs(self.u) ** 2 * self.clark.weights)))
 
-    def lebesgue_norm(self, rtol=1e-8):
+    def lebesgue_norm(self):
         val, tail = lebesgue_integral(lambda x: abs(self(x)) ** 2,
-                                      self.clark.atoms, rtol)
+                                      self.clark.atoms)
         return float(np.sqrt(val.real)), tail
 
 

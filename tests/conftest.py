@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from perturblab.data import Atom, DiscreteSpectralData, RankOneData, pairing_sum
 
@@ -11,6 +12,35 @@ def make_data(t, mu, a, b, kappa):
                                       for tt, mm in zip(t, mu)))
     return RankOneData(base, np.asarray(a, dtype=complex),
                        np.asarray(b, dtype=complex), kappa)
+
+
+def beta_numerators(data):
+    """Monomial coefficients (low to high) of the numerators of beta, beta*.
+
+    A reference built apart from the program: with den(z) = prod (1 - z/t_n)
+    and w_n = a_n conj(b_n) mu_n, den (1/(t_n - z) - 1/t_n) = (loo_n - den)
+    /t_n, loo_n the product without factor n, so den beta = kappa den +
+    sum_n (w_n/t_n)(loo_n - den); beta* takes conj(kappa) and conj(w_n).
+    Returns (num_beta, num_beta_star).  Cubic in the atom count.
+    """
+    t = data.t
+    w = data.a * np.conj(data.b) * data.mu
+    factors = [np.array([1.0, -1.0 / tn]) for tn in t]
+
+    def product(fs):
+        out = np.array([1.0 + 0.0j])
+        for f in fs:
+            out = P.polymul(out, f)
+        return out
+
+    den = product(factors)
+    num = data.kappa * den
+    num_star = np.conj(data.kappa) * den
+    for n in range(t.size):
+        diff = P.polysub(product(factors[:n] + factors[n + 1:]), den)
+        num = P.polyadd(num, (w[n] / t[n]) * diff)
+        num_star = P.polyadd(num_star, (np.conj(w[n]) / t[n]) * diff)
+    return num, num_star
 
 
 @pytest.fixture

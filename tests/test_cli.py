@@ -273,3 +273,80 @@ class TestMoreDiagnose:
         assert doc["result"]["route"][0] == "shift"
         eigs = sorted(v[0] for v in doc["result"]["oracle"])
         assert eigs == pytest.approx([1 - np.sqrt(2), 1 + np.sqrt(2)])
+
+
+class TestSynthesisSize:
+    def test_65_atoms_sampled(self, tmp_path):
+        # more atoms than bits in a uint64 partition mask
+        from conftest import separated_instance
+
+        data = separated_instance(np.random.Generator(np.random.Philox(9)),
+                                  66)
+        path = tmp_path / "p65.json"
+        path.write_text(json.dumps({
+            "atoms": [{"t": t, "mu": mu}
+                      for t, mu in zip(data.t[:65], data.mu[:65])],
+            "a": [[z.real, z.imag] for z in data.a[:65]],
+            "b": [[z.real, z.imag] for z in data.b[:65]],
+            "kappa": [data.kappa.real, data.kappa.imag]}))
+        assert main(["--quiet", "--out", str(tmp_path / "out"), "diagnose",
+                     "synthesis", str(path), "--budget", "8"]) == 0
+        doc, _ = read_artifact(tmp_path / "out", "diagnose-synthesis",
+                               "synthesis")
+        assert doc["result"]["partitions_checked"] == 8
+        assert sorted(sum(doc["result"]["partition"], [])) == list(range(65))
+
+
+SIX_ATOM = json.dumps({
+    "atoms": [{"t": t, "mu": mu} for t, mu in
+              zip([-5.0, -2.5, -0.7, 1.1, 3.0, 6.2],
+                  [1.0, 0.5, 2.0, 1.5, 0.8, 1.2])],
+    "a": [[1.0, 0.2], [0.5, -0.5], [0.9, 0.1], [0.3, 0.7], [1.0, 0.0],
+          [0.6, -0.2]],
+    "b": [[0.8, 0.0], [0.6, 0.3], [0.7, -0.4], [1.0, 0.1], [0.5, 0.5],
+          [0.9, 0.0]],
+    "kappa": [2.0, 1.0]})
+
+
+class TestFuzz:
+    """Option values drawn at random never escape cli.main as exceptions."""
+
+    from hypothesis import example, given, settings, strategies as st
+
+    number = st.one_of(
+        st.floats(-30.0, 30.0).map(repr),
+        st.sampled_from(["nan", "inf", "-inf", "1e308", "-0", "x", ""]))
+    pair = st.one_of(st.tuples(number, number).map(",".join), number,
+                     st.text(",.-e0123456789ij", max_size=12))
+    rect = st.one_of(st.lists(number, min_size=4, max_size=4).map(",".join),
+                     st.lists(number, max_size=6).map(",".join))
+    cases = st.one_of(
+        st.tuples(st.just("rect"), rect),
+        st.tuples(st.just("zeta"), pair),
+        st.tuples(st.just("z"), pair),
+        st.tuples(st.just("budget"), st.one_of(
+            st.integers(-3, 40).map(str), st.sampled_from(["", "x", "2.5"]))))
+
+    @pytest.fixture(scope="class")
+    def six_atom_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "six_atom.json"
+        path.write_text(SIX_ATOM)
+        return path
+
+    @given(case=cases)
+    @example(case=("rect", "-30,1e308,0,1"))   # phi'/phi overflows to nan
+    @settings(max_examples=40, deadline=None)
+    def test_exit_code_in_contract(self, six_atom_file, case):
+        import tempfile
+
+        option, value = case
+        argv = {
+            "rect": ["diagnose", "volterra-window", str(six_atom_file),
+                     f"--rect={value}"],
+            "zeta": ["clark", str(six_atom_file), f"--zeta={value}"],
+            "z": ["model", "eval", str(six_atom_file), f"--z={value}"],
+            "budget": ["diagnose", "synthesis", str(six_atom_file),
+                       f"--budget={value}"],
+        }[option]
+        with tempfile.TemporaryDirectory() as out:
+            assert main(["--quiet", "--out", out] + argv) in range(5)

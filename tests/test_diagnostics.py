@@ -5,12 +5,13 @@ import pytest
 
 from perturblab.errors import BadParameters, DivergentNearRealZero
 from perturblab.model import build_model
-from perturblab.engine import eigensystem, phi_zeros
+from perturblab.engine import build_matrix, eigensystem, phi_zeros
 from perturblab.diagnostics import (WindowReport, _phi_poles,
                                     enumerate_partitions, growth_profile,
                                     integral_test, macaev_check, mass_detect,
                                     synthesis_defect, volterra_window_check)
 from perturblab.gallery import sharp_instance
+from perturblab._numutil import matched_max_distance
 
 from conftest import make_data, random_instance, separated_instance
 
@@ -227,6 +228,11 @@ class TestSynthesisDefect:
             for m in range(16))
         assert worst.sigma_min == pytest.approx(best_seen, rel=1e-12)
 
+    def test_sampled_budget_must_be_positive(self, rng):
+        es = eigensystem(random_instance(rng, 13))
+        with pytest.raises(BadParameters):
+            enumerate_partitions(es, budget=0)
+
     def test_invariance_under_relabeling_and_phases(self, rng):
         data = random_instance(rng, 4)
         es = eigensystem(data)
@@ -267,14 +273,26 @@ class TestWindow:
             np.random.Generator(np.random.Philox(7)), 30))
         assert volterra_window_check(m, (-10.0, 4.0, 0.3, 2.5)) == \
             WindowReport(0, 7.250780830633269e-07, 0.3238323180539666,
-                         0.013084807907287443, 0)
+                         0.013084807907287442, 0)
         assert volterra_window_check(m, (-21.0, 21.0, 0.0, 3.0)) == \
             WindowReport(25, 24.99999815211906, 0.1482904479939786,
-                         0.011052106570849617, 0)
+                         0.011052106570849615, 0)
         m = build_model(sharp_instance(1.0, 0.0, 0.0, 60).data)
         assert volterra_window_check(m, (0.1, 20.0, 0.0, 4.0)) == \
             WindowReport(0, -8.942749341702598e-10, 0.013859014422947664,
                          0.00753374924573953, 0)
+
+    def test_below_axis_counts_every_zero(self):
+        # 60 eigenvalues of the oracle and 59 poles of phi lie inside
+        data = separated_instance(np.random.Generator(np.random.Philox(7)),
+                                  60)
+        rect = (-21.0, 21.0, -1.0, 2.0)
+        eigs = np.linalg.eigvals(build_matrix(data).L)
+        inside = int(np.sum((eigs.real > rect[0]) & (eigs.real < rect[1])
+                            & (eigs.imag > rect[2]) & (eigs.imag < rect[3])))
+        rep = volterra_window_check(build_model(data), rect)
+        assert inside == 60
+        assert (rep.count, rep.poles_added_back) == (60, 59)
 
     @pytest.mark.parametrize("rect", [(3.0, 1.0, 0.0, 1.0),
                                       (0.0, 1.0, 2.0, 1.0),
@@ -285,55 +303,33 @@ class TestWindow:
             volterra_window_check(build_model(two_atom), rect)
 
 
-def scalar_phi_poles(model):
-    """Reference: Newton from each seed in turn, one point at a time."""
+def check_poles(model):
+    """Exactly N poles, each a root of i + rho, matching the eigenvalues of
+    diag(t) + (nu/(i + rho(inf))) 1^T, since det(D + u v^T) =
+    det(D)(1 + v^T D^-1 u) makes their zeros those of i + rho."""
     t, nu = model.t, model.nu
-    seeds = []
-    for n in range(t.size):
-        r = model.rho.regular_part(n, t[n]).real
-        seeds.append(t[n] + nu[n] * (r - 1j) / (r * r + 1.0))
-
-    def g_and_gprime(z):
-        j = model.rho.nearest_pole(z)
-        u = t[j] - z
-        r = model.rho.regular_part(j, z)
-        rp = model.rho.derivative_regular_part(j, z)
-        return 1j * u + nu[j] + u * r, -1j - r + u * rp
-
-    verified = []
-    with np.errstate(all="ignore"):
-        for z in seeds:
-            for _ in range(60):
-                gv, gp = g_and_gprime(z)
-                if gp == 0 or not np.isfinite(gp):
-                    break
-                step = gv / gp
-                if not np.isfinite(step):
-                    break
-                z = z - step
-                if abs(step) <= 1e-15 * (1.0 + abs(z)):
-                    break
-            if np.isfinite(z) and \
-                    abs(g_and_gprime(z)[0]) <= 1e-8 * float(np.max(nu) + 1.0):
-                verified.append(z)
-    uniq = []
-    for z in sorted(verified, key=lambda w: (w.real, w.imag)):
-        if not uniq or abs(z - uniq[-1]) > 1e-9 * (1.0 + abs(z)):
-            uniq.append(z)
-    return np.asarray(uniq, dtype=complex)
+    poles = _phi_poles(model)
+    assert poles.size == t.size
+    for z in poles:
+        assert abs(1j + model.rho(z)) <= 1e-10
+    mat = np.outer(nu / (1j + model.delta_infinity), np.ones(t.size))
+    mat[np.diag_indices(t.size)] += t
+    scale = max(1.0, float(np.max(np.abs(t))))
+    assert matched_max_distance(np.linalg.eigvals(mat), poles) <= \
+        1e-9 * scale
 
 
 class TestPhiPoles:
     @pytest.mark.parametrize("n", [1, 8, 30, 100])
-    def test_batched_newton_is_bitwise_scalar(self, rng, n):
+    def test_all_poles_found(self, rng, n):
         data = random_instance(rng, n) if n < 100 else \
             separated_instance(rng, n)
-        m = build_model(data)
-        assert _phi_poles(m).tobytes() == scalar_phi_poles(m).tobytes()
+        check_poles(build_model(data))
 
     def test_sharp_instance(self):
-        m = build_model(sharp_instance(1.0, 0.0, 0.0, 60).data)
-        assert _phi_poles(m).tobytes() == scalar_phi_poles(m).tobytes()
+        for n_terms in (60, 500):
+            check_poles(build_model(sharp_instance(1.0, 0.0, 0.0,
+                                                   n_terms).data))
 
 
 class TestErrorPaths:

@@ -14,7 +14,8 @@ from perturblab.engine import (MatrixRealization, _aberth_refine,
                                shifted_data, weighted_adjoint)
 from perturblab._numutil import matched_max_distance
 
-from conftest import make_data, random_instance, separated_instance
+from conftest import (beta_numerators, make_data, random_instance,
+                      separated_instance)
 
 
 def cubic_discriminant(c):
@@ -33,7 +34,7 @@ def double_zero_instance():
 
     def disc(kappa):
         data = make_data(t, mu, a, b, kappa)
-        num = build_model(data, strict=False).rational().num_beta
+        num, _ = beta_numerators(data)
         return cubic_discriminant(num)
 
     kappas = np.linspace(-6.0, 6.0, 241)
@@ -148,6 +149,20 @@ class TestPhiZeros:
         res = compute_spectrum(data)
         assert res.match_residual <= 1e-8
 
+    def test_order_is_canonical(self, monkeypatch):
+        # partition indices refer to the zeros' order, which must not
+        # follow the order the eigensolver returns its eigenvalues in
+        from perturblab.diagnostics import enumerate_partitions
+
+        data = separated_instance(np.random.Generator(np.random.Philox(2)),
+                                  30)
+        first, _ = enumerate_partitions(eigensystem(data), budget=100)
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a)[::-1])
+        second, _ = enumerate_partitions(eigensystem(data), budget=100)
+        assert first.partition == second.partition
+        assert first.sigma_min == pytest.approx(second.sigma_min, rel=1e-9)
+
 
 @pytest.fixture(scope="class")
 def separated_200():
@@ -183,7 +198,7 @@ class TestLargeTruncation:
         data, eigs, scale = separated_200
         seeds = eigs.copy()
         seeds[1] = seeds[0]
-        roots = _aberth_refine(build_model(data), seeds)
+        roots = _aberth_refine(build_model(data).beta, seeds)
         assert matched_max_distance(eigs, roots) <= 1e-10 * scale
 
 
@@ -230,12 +245,10 @@ class TestRootChain:
         assert np.max(rep.chain_residuals) < 1e-10
 
     def test_double_zero_chain(self):
-        from perturblab.engine import refine_multiple_root
         data = double_zero_instance()
         m = build_model(data)
         zeros = phi_zeros(m)
         lam = zeros.clusters[int(np.argmax(zeros.multiplicities))]
-        lam = refine_multiple_root(m.rational().num_beta, lam, 2)
         rep = root_chain(m, lam, 2)
         assert rep.constants == pytest.approx([1.0, 0.0], abs=1e-8)
         assert np.max(rep.chain_residuals) < 1e-10
@@ -245,6 +258,29 @@ class TestRootChain:
         m = build_model(two_atom)
         with pytest.raises(OrderTooHigh):
             root_chain(m, 1 + np.sqrt(2), 2)
+
+    def test_simple_zero_at_800_atoms(self):
+        import mpmath as mp
+
+        data = separated_instance(np.random.Generator(np.random.Philox(800)),
+                                  800)
+        m = build_model(data)
+        lam = phi_zeros(m).zeros[400]
+        rep = root_chain(m, lam * (1.0 + 1e-7), 1)
+        with mp.workdps(50):
+            t = [mp.mpf(float(x)) for x in data.t]
+            w = [mp.mpc(complex(x)) for x in m.beta.residues]
+            c_inf = mp.mpc(complex(data.kappa)) - mp.fsum(
+                wn / tn for wn, tn in zip(w, t))
+
+            def beta(z):
+                return c_inf + mp.fsum(wn / (tn - z) for wn, tn in zip(w, t))
+
+            root = mp.findroot(beta, mp.mpc(rep.lam))
+            assert abs(rep.lam - root) <= 1e-10 * abs(root)
+        assert rep.constants == pytest.approx([1.0], rel=1e-10)
+        assert np.max(rep.membership_residuals) < 1e-10
+        assert np.max(rep.chain_residuals) < 1e-10
 
 
 class TestAdjointAndGauge:
@@ -338,16 +374,6 @@ class TestKappaShift:
 
 
 class TestDegreeLimits:
-    def test_rational_form_cap(self, rng):
-        from perturblab.errors import DegreeOverflow
-        n = 520
-        t = np.sort(rng.uniform(0.5, 20.0, n) * rng.choice([-1, 1], n))
-        while np.min(np.diff(t)) <= 0:
-            t = np.sort(rng.uniform(0.5, 20.0, n) * rng.choice([-1, 1], n))
-        data = make_data(t, np.ones(n), np.ones(n), np.ones(n), 3.0)
-        with pytest.raises(DegreeOverflow):
-            build_model(data).rational()
-
     def test_generating_function_needs_full_set(self, two_atom):
         from perturblab.errors import NotMinimal
         from perturblab.model import build_model as bm

@@ -17,7 +17,7 @@ from perturblab.model import (build_debranges, build_model, canonical_delta,
                               lebesgue_integral)
 from perturblab.engine import kappa_shift
 
-from conftest import random_instance, separated_instance
+from conftest import beta_numerators, random_instance, separated_instance
 
 
 class TestClosedForms:
@@ -44,7 +44,7 @@ class TestClosedForms:
         for z in (0.5, 2.0 + 1.0j, -3.3):
             assert m.beta(z) == pytest.approx(
                 (z * z - 2 * z - 1) / (z * z - 1), rel=1e-13)
-        num = m.rational().num_beta
+        num, _ = beta_numerators(two_atom)
         roots = np.sort(P.polyroots(num).real)
         assert roots == pytest.approx([1 - np.sqrt(2), 1 + np.sqrt(2)],
                                       abs=1e-12)
@@ -116,10 +116,9 @@ class TestEvaluation:
     def test_real_type_phi_tilde_equals_phi_coefficients(self, rng):
         for _ in range(10):
             data = random_instance(rng, 6, real_type=True)
-            forms = build_model(data).rational()
-            scale = np.max(np.abs(forms.num_beta))
-            diff = np.max(np.abs(P.polysub(forms.num_beta,
-                                           forms.num_beta_star)))
+            num_beta, num_beta_star = beta_numerators(data)
+            scale = np.max(np.abs(num_beta))
+            diff = np.max(np.abs(P.polysub(num_beta, num_beta_star)))
             assert diff <= 1e-12 * scale
 
     def test_lower_bound_one_minus_abs_theta(self, two_atom, rng):
@@ -234,8 +233,9 @@ class TestArrayForms:
 class TestDeBranges:
     def test_one_atom_pair(self, one_atom):
         pair = build_debranges(one_atom)
-        assert pair.A_poly == pytest.approx([1.0, -1.0])
-        assert pair.B_poly == pytest.approx([1.0])
+        for z in (0.0, 2.5, -1.0 + 0.7j):
+            assert pair.A(z) == pytest.approx(1.0 - z)
+            assert pair.B(z) == pytest.approx(1.0)
         assert pair.E(2j) == pytest.approx(1 - 2j - 1j)
 
     def test_zeros_at_atoms(self, two_atom):
@@ -265,6 +265,34 @@ class TestDeBranges:
             lhs = pair.B(z) / pair.A(z)
             rhs = np.sum(data.nu / (data.t - z))
             assert lhs == pytest.approx(rhs, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [300, 800])
+    def test_kernel_matches_mpmath(self, n):
+        # K_w(conj w) = A^2 rho'/pi; off the diagonal the defining quotient
+        import mpmath as mp
+
+        data = separated_instance(np.random.Generator(np.random.Philox(3)), n)
+        pair = build_debranges(data)
+        w = 0.37 + 0.8j
+        with mp.workdps(50):
+            t = [mp.mpf(float(x)) for x in data.t]
+            nu = [mp.mpf(float(x)) for x in data.nu]
+
+            def a_rho(z, power):
+                a = mp.fprod(1 - z / tn for tn in t)
+                return a, mp.fsum(v / (tn - z) ** power
+                                  for v, tn in zip(nu, t))
+
+            a, rho_prime = a_rho(mp.mpc(w.conjugate()), 2)
+            diagonal = complex(a * a * rho_prime / mp.pi)
+            z = -1.3 + 0.6j
+            aw, rw = a_rho(mp.mpc(w), 1)
+            az, rz = a_rho(mp.mpc(z), 1)
+            off = complex(mp.conj(aw) * az * (rz - mp.conj(rw))
+                          / (mp.pi * (z - mp.conj(w))))
+        assert abs(debranges_kernel(pair, w, w.conjugate()) - diagonal) <= \
+            1e-12 * abs(diagonal)
+        assert abs(debranges_kernel(pair, w, z) - off) <= 1e-10 * abs(off)
 
 
 class TestClark:
