@@ -16,12 +16,15 @@ def kahan_sum(values):
 
 
 def cmul(x, y):
-    """x * y for complex arrays of one shape, formed componentwise.
+    """x * y for (real or complex) scalars or broadcasting arrays.
 
-    Rounds as numpy's scalar complex multiply does; its complex array
+    Rounds as numpy's scalar complex multiply does: two scalars go through
+    it, and arrays are multiplied componentwise, since numpy's complex array
     multiply may use fused multiply-adds and round differently.
     """
-    out = np.empty_like(x)
+    if np.ndim(x) == 0 and np.ndim(y) == 0:
+        return x * y
+    out = np.empty(np.broadcast(x, y).shape, dtype=complex)
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
     return out
@@ -33,6 +36,19 @@ def cabs(x):
     numpy's complex array abs may differ from it in the last bit.
     """
     return np.hypot(x.real, x.imag)
+
+
+def difference_quotient(num, diff, scale, limit):
+    """num/diff, with limit() in place where |diff| < 1e-9 (1 + |scale|).
+
+    The removable singularity of a quotient like (f(z) - f(w))/(z - w):
+    limit is called only when some diff falls inside that guard.  Works on
+    scalars and on arrays that broadcast together.
+    """
+    diff = np.asarray(diff, dtype=complex)
+    near = cabs(diff) < 1e-9 * (1.0 + cabs(np.asarray(scale, dtype=complex)))
+    q = num / np.where(near, 1.0, diff)
+    return (np.where(near, limit(), q) if np.any(near) else q)[()]
 
 
 def sum_by_abs_pole(poles, terms):

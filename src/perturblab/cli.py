@@ -33,9 +33,12 @@ def _parse_complex(text):
     if len(parts) > 2:
         raise click.UsageError(f"cannot parse complex value {text!r}")
     try:
-        return complex(*(float(p) for p in parts))
+        z = complex(*(float(p) for p in parts))
     except ValueError:
         raise BadParameters(f"complex values must be numbers, got {text!r}")
+    if not np.isfinite(z):
+        raise BadParameters(f"complex values must be finite, got {text!r}")
+    return z
 
 
 def _parse_rect(text):
@@ -163,10 +166,8 @@ def model_eval(cfg, problem, which, points, real_grid, imag, delta):
                        "real_grid": real_grid or "",
                        "points": [problemio.complex_to_pair(z) for z in zs]},
         text, cfg.seed)
-    rows = []
-    for z in zs:
-        val = m.eval(which, z)
-        rows.append((z.real, z.imag, val.real, val.imag))
+    vals = m.eval(which, np.array(zs))
+    rows = [(z.real, z.imag, v.real, v.imag) for z, v in zip(zs, vals)]
     d = problemio.artifact_dir(cfg.out, manifest)
     cfg.emit_csv(d, f"eval_{which}", ("re_z", "im_z", "re_F", "im_F"), rows)
 
@@ -372,8 +373,12 @@ def synthesis_cmd(cfg, problem, partition, budget):
                                "budget": budget}, text, cfg.seed)
     if partition:
         left, _, right = partition.partition("|")
-        j1 = tuple(int(x) for x in left.split(",") if x != "")
-        j2 = tuple(int(x) for x in right.split(",") if x != "")
+        try:
+            j1, j2 = (tuple(int(x) for x in side.split(",") if x != "")
+                      for side in (left, right))
+        except ValueError:
+            raise BadParameters(f"--partition expects 'i,j|k,l', got "
+                                f"{partition!r}")
         sd = diag.synthesis_defect(es, (j1, j2))
         n_checked = 1
     else:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import (BadParameters, ContourTooClose, DivergentNearRealZero,
                      NotBiorthogonal)
 from .data import RankOneData, omega_matrix
-from .model import CauchyRepresentation, ModelPair
+from .model import CauchyRepresentation, ModelPair, lebesgue_integral
 from .engine import Eigensystem, _aberth_refine, phi_zeros
 from ._numutil import cabs
 
@@ -48,9 +48,9 @@ def growth_profile(model: ModelPair, y_max=1e4, n_points=200):
     is read off the partial-fraction data (ModelPair.exponent_at_infinity).
     """
     y = np.logspace(0.0, np.log10(y_max), n_points)
-    phi = np.array([abs(model.phi(1j * v)) for v in y])
-    beta = np.array([abs(model.beta(1j * v)) for v in y])
-    phit = np.array([abs(model.phi_tilde(1j * v)) for v in y])
+    phi = cabs(model.phi(1j * y))
+    beta = cabs(model.beta(1j * y))
+    phit = cabs(model.phi_tilde(1j * y))
     top = y >= y_max / 10.0
     mask = top & (phi > 0)
     if np.count_nonzero(mask) >= 2:
@@ -65,9 +65,8 @@ def growth_profile(model: ModelPair, y_max=1e4, n_points=200):
     exact = model.exponent_at_infinity
     # exhibited constant in 1 - |Theta(z)| >= c Im z/(|z|^2 + 1), sampled
     up = y[y > 1.0]
-    margins = [(1.0 - abs(model.theta(1j * v))) * (v * v + 1.0) / v
-               for v in up]
-    inner_margin = float(min(margins)) if margins else float("nan")
+    margins = (1.0 - cabs(model.theta(1j * up))) * (up * up + 1.0) / up
+    inner_margin = float(np.min(margins)) if up.size else float("nan")
     return GrowthProfile(y, phi, beta, phit, float(slope),
                          float(env_vals[i_min]), float(y[env_mask][i_min]),
                          ratio, exact, inner_margin)
@@ -91,8 +90,6 @@ def integral_test(model: ModelPair, n_weight, tau, eta):
     eta = 0 requires phi to have no real zeros; otherwise the integrand has a
     non-integrable singularity and DivergentNearRealZero is raised.
     """
-    from scipy.integrate import quad
-
     zeros = phi_zeros(model)
     if eta == 0.0 and zeros.real.size > 0:
         raise DivergentNearRealZero(
@@ -106,16 +103,9 @@ def integral_test(model: ModelPair, n_weight, tau, eta):
         return 1.0 / (abs(model.phi(x + 1j * eta)) ** tau
                       * (1.0 + abs(x)) ** n_weight)
 
-    breaks = sorted(set(np.concatenate([model.t, zeros.zeros.real])))
-    r = max(10.0, 2.0 * (1.0 + max(abs(b) for b in breaks)))
-    pts = [b for b in breaks if -r < b < r]
-    core, _ = quad(integrand, -r, r, points=pts or None, limit=400)
-    up, up_err = quad(lambda u: integrand(r / u) * r / u ** 2, 0.0, 1.0,
-                      limit=200)
-    lo, lo_err = quad(lambda u: integrand(-r / u) * r / u ** 2, 0.0, 1.0,
-                      limit=200)
-    return IntegralReport(float(core + up + lo),
-                          float(abs(up_err) + abs(lo_err)), True, float(decay))
+    value, tail = lebesgue_integral(
+        integrand, np.concatenate([model.t, zeros.zeros.real]))
+    return IntegralReport(float(value), float(tail), True, float(decay))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +151,7 @@ class MassReport:
     grid_values: np.ndarray
 
 
-def mass_detect(model: ModelPair, zeta, y_grid=None):
+def mass_detect(model: ModelPair, zeta):
     """Detect the point mass of sigma_zeta at infinity.
 
     For rational Theta the limit y (zeta - Theta(iy)) is exact from the
@@ -172,10 +162,8 @@ def mass_detect(model: ModelPair, zeta, y_grid=None):
     quantity grows linearly and has_mass is False.
     """
     zeta = complex(zeta)
-    if y_grid is None:
-        y_grid = np.logspace(1, 6, 26)
-    vals = np.array([v * abs(zeta - model.theta(1j * v)) / 2.0
-                     for v in y_grid])
+    y = np.logspace(1, 6, 26)
+    vals = y * cabs(zeta - model.theta(1j * y)) / 2.0
     d_inf = model.delta_infinity
     s0 = float(np.sum(model.nu))
     has_mass = abs(zeta - model.theta_infinity) <= 1e-9
@@ -200,14 +188,9 @@ class SynthesisDefect:
 
 
 def _defect_matrix(eigsys: Eigensystem, j1, j2):
-    mu = eigsys.weights
-    wsqrt = np.sqrt(mu)
-    cols = []
-    for j in j1:
-        cols.append(eigsys.model_vectors[:, j])
-    for j in j2:
-        cols.append(eigsys.left_vectors[:, j])
-    x = np.stack(cols, axis=1) * wsqrt[:, None]
+    x = np.stack([eigsys.model_vectors[:, j] for j in j1]
+                 + [eigsys.left_vectors[:, j] for j in j2], axis=1)
+    x = x * np.sqrt(eigsys.weights)[:, None]
     norms = np.linalg.norm(x, axis=0)
     if np.any(norms == 0):
         raise NotBiorthogonal("zero column in the mixed system")
@@ -220,7 +203,8 @@ def synthesis_defect(eigsys: Eigensystem, partition):
               tuple(int(j) for j in partition[1]))
     n = eigsys.eigenvalues.size
     if sorted(j1 + j2) != list(range(n)):
-        raise ValueError("partition must split 0..n-1")
+        raise BadParameters(
+            f"partition must split 0..{n - 1}, got {partition}")
     x = _defect_matrix(eigsys, j1, j2)
     s = np.linalg.svd(x, compute_uv=False)
     cond = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
@@ -260,26 +244,31 @@ def enumerate_partitions(eigsys: Eigensystem, budget=10000, seed=0):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-def _adaptive_panel(fn, a, b, tol, depth=0):
+def _adaptive_panel(fn, a, b, tol, whole=None, depth=0):
     """64-point panels, bisected until two levels agree within tol.
 
     Resolves phi'/phi spikes from zeros sitting just off an edge, which a
     fixed panel count can step over while still landing near an integer.
-    fn maps an array of points to an array of values; the 192 nodes of the
-    panel and of its two halves go through one call.
+    fn maps an array of points to an array of values.  The nodes of the
+    panel (unless its integral comes in as whole, computed by the parent)
+    and of its two halves go through one call: 192 points at the top and
+    128 in each recursion.
     """
     mid = (a + b) / 2.0
-    pieces = ((a, b), (a, mid), (mid, b))
+    pieces = ((a, mid), (mid, b)) if whole is not None else \
+        ((a, b), (a, mid), (mid, b))
     half_widths = [(q - p) / 2.0 for p, q in pieces]
     vals = fn(np.concatenate([(p + q) / 2.0 + h * _GL_NODES
                               for (p, q), h in zip(pieces, half_widths)]))
-    whole, left, right = (h * np.sum(_GL_WEIGHTS * v)
-                          for h, v in zip(half_widths, np.split(vals, 3)))
+    sums = [h * np.sum(_GL_WEIGHTS * v)
+            for h, v in zip(half_widths, np.split(vals, len(pieces)))]
+    whole = sums[0] if whole is None else whole
+    left, right = sums[-2:]
     split = left + right
     if abs(whole - split) <= tol or depth >= 24 or not np.isfinite(split):
         return split, abs(whole - split)
-    left, le = _adaptive_panel(fn, a, mid, tol / 2.0, depth + 1)
-    right, re_ = _adaptive_panel(fn, mid, b, tol / 2.0, depth + 1)
+    left, le = _adaptive_panel(fn, a, mid, tol / 2.0, left, depth + 1)
+    right, re_ = _adaptive_panel(fn, mid, b, tol / 2.0, right, depth + 1)
     return left + right, le + re_
 
 
@@ -353,7 +342,6 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
                                p + (q - p) * (k + 1) / splits_per_seg))
         return panels
 
-    fn = model.log_derivative_phi_array
     tol = 0.05 * 2.0 * np.pi
     winding = None
     for _ in range(max_refine):
@@ -363,7 +351,8 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
         for a, b in zip(corners, corners[1:] + corners[:1]):
             panels.extend(edge_panels(a, b, 2))
         for a, b in panels:
-            val, e = _adaptive_panel(fn, a, b, tol / max(len(panels), 1))
+            val, e = _adaptive_panel(model.log_derivative_phi, a, b,
+                                     tol / max(len(panels), 1))
             total += val
             err += e
         winding = (total / (2j * np.pi)).real
@@ -385,7 +374,7 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
     count = int(round(winding)) + poles_in
 
     s = np.linspace(0.0, 1.0, 65)[:-1]
-    bdry = cabs(model.phi_array(np.concatenate(
+    bdry = cabs(model.phi(np.concatenate(
         [a + (b - a) * s for a, b in zip(corners, corners[1:] + corners[:1])])))
     return WindowReport(count, float(winding), float(np.min(bdry)),
                         float(nudge), poles_in)

@@ -24,14 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AdmissibilityError, ChainRequired, EigensolveFailure,
-                     NoInvertibleShift, NotMinimal, OrderTooHigh,
-                     SingularGauge)
+                     NoInvertibleShift, NotBiorthogonal, NotMinimal,
+                     OrderTooHigh, SingularGauge)
 from .data import RankOneData, RankNData, validate
 from .model import (BATCH_ELEMENTS, CauchyRepresentation, ModelPair,
                     build_model, kernel_k)
-from ._numutil import (cluster_points, cmul, matched_max_distance,
-                       hausdorff_distance, numerical_rank, kahan_sum,
-                       sum_by_abs_pole)
+from ._numutil import (cabs, cluster_points, cmul, difference_quotient,
+                       matched_max_distance, hausdorff_distance,
+                       numerical_rank, kahan_sum, sum_by_abs_pole)
 
 #: relative residual allowed for the algebraic-inverse identity
 INVERSE_RTOL = 1e-10
@@ -351,21 +351,6 @@ def strong_real_type(data, result: SpectrumResult = None):
     return bool(np.max(np.abs(eigs.imag)) <= 1e-9 * scale)
 
 
-def h_eval(model: ModelPair, lam, z):
-    """Model eigenfunction h_lam(z) = phi(z)/(z - lam), with the limit at lam."""
-    if abs(z - lam) < 1e-9 * (1.0 + abs(z)):
-        return model.phi_prime(z)
-    return model.phi(z) / (z - lam)
-
-
-def clark_kernel_at_atom(model: ModelPair, n, z):
-    """Clark basis kernel k_{t_n}(z) = (1 + Theta(z))/(z - t_n)."""
-    tn = model.t[n]
-    if abs(z - tn) < 1e-9 * (1.0 + abs(tn)):
-        return model.theta_prime(z)
-    return model.one_plus_theta(z) / (z - tn)
-
-
 @dataclass(frozen=True)
 class Eigensystem:
     eigenvalues: np.ndarray
@@ -394,57 +379,44 @@ def eigensystem(data: RankOneData, model=None, matrix=None):
         raise ChainRequired("spectrum has multiple eigenvalues")
     lams = zeros.zeros
     t, mu, nu = data.t, data.mu, data.nu
-    n_atoms = t.size
 
-    evals, evecs = np.linalg.eig(matrix.L)
     from scipy.optimize import linear_sum_assignment
-    cost = np.abs(lams[:, None] - evals[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    order = cols[np.argsort(rows)]
-    evals = evals[order]
-    evecs = evecs[:, order]
+    evals, evecs = np.linalg.eig(matrix.L)
+    rows, cols = linear_sum_assignment(np.abs(lams[:, None] - evals))
+    evecs = evecs[:, cols[np.argsort(rows)]]
 
-    h_samples = np.array([[h_eval(model, lam, tn) for tn in t]
-                          for lam in lams])
-    model_vecs = np.empty((n_atoms, lams.size), dtype=complex)
-    for j, lam in enumerate(lams):
-        model_vecs[:, j] = data.a / (t - lam)
+    # h_lam(t_n) = phi(t_n)/(t_n - lam), with the limit phi'(t_n) at lam
+    diff = t - lams[:, None]
+    h_samples = difference_quotient(model.phi(t), diff, t,
+                                    lambda: model.phi_prime(t))
+    # row j: the model vector a_n/(t_n - lam_j) and the left eigenvector
+    # b_n/(t_n - conj(lam_j)) of the weighted adjoint, normalized so that
+    # <f_j, g_j>_mu = 1
+    f = data.a / diff
+    g = data.b / (t - np.conj(lams)[:, None])
+    # row by row: numpy's complex multiply of whole matrices can round
+    # otherwise than that of their rows, and the sum can add in another order
+    ip = np.array([np.sum(fj * np.conj(gj) * mu) for fj, gj in zip(f, g)])
+    small = cabs(ip) < 1e-13 * (np.linalg.norm(f, axis=1)
+                                * np.linalg.norm(g, axis=1) + 1e-300)
+    if np.any(small):
+        raise NotBiorthogonal(
+            f"pair at eigenvalue {lams[small][0]} degenerate")
+    g = g / np.conj(ip)[:, None]
+    v, w = evecs.T * np.sqrt(mu), f * np.sqrt(mu)
+    collin = 1.0 - cabs(np.sum(np.conj(v) * w, axis=1)) / (
+        np.linalg.norm(v, axis=1) * np.linalg.norm(w, axis=1))
 
-    wsqrt = np.sqrt(mu)
-    collin = np.empty(lams.size)
-    for j in range(lams.size):
-        v = evecs[:, j] * wsqrt
-        w = model_vecs[:, j] * wsqrt
-        collin[j] = 1.0 - abs(np.vdot(v, w)) / (
-            np.linalg.norm(v) * np.linalg.norm(w))
-
-    # left eigenvectors: eigenvectors of the weighted adjoint, matched to
-    # conj(lam); closed form b_n/(t_n - conj(lam)); normalized so that
-    # <f_j, g_j>_mu = 1.
-    left = np.empty_like(model_vecs)
-    for j, lam in enumerate(lams):
-        left[:, j] = data.b / (t - np.conj(lam))
-    for j in range(lams.size):
-        ip = np.sum(model_vecs[:, j] * np.conj(left[:, j]) * mu)
-        if abs(ip) < 1e-13 * (np.linalg.norm(model_vecs[:, j])
-                              * np.linalg.norm(left[:, j]) + 1e-300):
-            from .errors import NotBiorthogonal
-            raise NotBiorthogonal(f"pair at eigenvalue {lams[j]} degenerate")
-        left[:, j] = left[:, j] / np.conj(ip)
-
-    gram = np.empty((lams.size, lams.size), dtype=complex)
-    kernel_samples = [np.array([kernel_k(model, lam, tn) for tn in t])
-                      for lam in lams]
-    for j in range(lams.size):
-        for k in range(lams.size):
-            gram[j, k] = np.pi * kahan_sum(
-                h_samples[j] * np.conj(kernel_samples[k]) * nu)
+    # gram[j, k] = pi sum_n h_j(t_n) conj(k_k(t_n)) nu_n, summed over n
+    kernels = np.conj(kernel_k(model, lams[:, None], t))
+    gram = np.pi * kahan_sum(h_samples[:, n, None] * kernels[:, n] * nu[n]
+                             for n in range(t.size))
     d = np.sqrt(np.abs(np.diag(gram)))
     off = gram / np.outer(d, d)
     np.fill_diagonal(off, 0.0)
     gram_offdiag = float(np.max(np.abs(off))) if lams.size > 1 else 0.0
 
-    return Eigensystem(lams, h_samples, evecs, left, model_vecs, collin,
+    return Eigensystem(lams, h_samples, evecs, g.T, f.T, collin,
                        gram, gram_offdiag, mu)
 
 
@@ -584,16 +556,27 @@ class GeneratingFunction:
     model: ModelPair = field(repr=False)
 
     def g(self, z):
-        vals = np.array([clark_kernel_at_atom(self.model, n, z)
-                         for n in range(self.model.t.size)])
-        return kahan_sum(self.coefficients * vals)
+        """g at one point or at every point of an array."""
+        terms = self.coefficients * _clark_kernels(self.model, z)
+        return kahan_sum(np.moveaxis(terms, -1, 0))
 
     def __call__(self, z):
-        return (z - self.lambda0) * self.g(z)
+        return cmul(np.asarray(z) - self.lambda0, self.g(z))
 
     def max_residual_on_lambdas(self):
-        scale = max(abs(self(x)) for x in _probe_points(self.lambdas))
-        return max(abs(self(lam)) for lam in self.lambdas) / scale
+        scale = np.max(cabs(self(np.array(_probe_points(self.lambdas)))))
+        return float(np.max(cabs(self(self.lambdas))) / scale)
+
+
+def _clark_kernels(model: ModelPair, z):
+    """Clark basis kernels k_{t_n}(z) = (1 + Theta(z))/(z - t_n), n last.
+
+    z is a point or an array; at z = t_n the kernel takes its limit
+    Theta'(t_n).
+    """
+    z = np.asarray(z, dtype=complex)[..., None]
+    return difference_quotient(model.one_plus_theta(z), z - model.t, model.t,
+                               lambda: model.theta_prime(z))
 
 
 def _probe_points(lams):
@@ -618,15 +601,11 @@ def generating_function(model: ModelPair, lambdas, lambda0=None):
     rest = lams[np.abs(lams - lambda0) > 0]
     if rest.size != n - 1:
         rest = np.delete(lams, int(np.argmin(np.abs(lams - lambda0))))
-    mat = np.empty((n - 1, n), dtype=complex)
-    for j, lam in enumerate(rest):
-        for k in range(n):
-            mat[j, k] = clark_kernel_at_atom(model, k, lam)
     if n == 1:
         coeffs = np.array([1.0 + 0.0j])
         cond = 1.0
     else:
-        u, s, vh = np.linalg.svd(mat)
+        u, s, vh = np.linalg.svd(_clark_kernels(model, rest))
         if s[0] == 0 or s[-1] < 1e-12 * s[0]:
             raise NotMinimal("interpolation system is singular")
         coeffs = vh[-1].conj()

@@ -20,6 +20,11 @@ where B, R are the regular parts of beta, rho at t_j.  These forms are exact
 algebra and remain stable arbitrarily close to (and at) the atoms, where the
 pole of beta cancels against the zero of 1 + Theta.
 
+Each evaluator takes one point, summed by the compensated scalar loop
+regular_part, or an array, summed by regular_parts in the same order along
+all points at once; complex products go through _numutil.cmul, so both give
+the same values bit for bit.
+
 The free real constant delta in rho defaults to sum_n nu_n / t_n, which makes
 rho(z) = sum_n nu_n/(t_n - z) = B/A exactly, so Theta coincides with E*/E for
 the associated structure pair E = A - iB with no Moebius discrepancy.  Any
@@ -33,7 +38,8 @@ import numpy as np
 from .errors import (AdmissibilityError, BadParameters, DegenerateZeta,
                      EvaluationAtPole, MassPresent)
 from .data import EQUALITY_RTOL, RankOneData, validate, classify_real_type
-from ._numutil import cmul, kahan_sum, sum_by_abs_pole
+from ._numutil import (cabs, cmul, difference_quotient, kahan_sum,
+                       sum_by_abs_pole)
 
 #: relative pole guard distance: 1e-8 * (1 + |t_n|)
 POLE_GUARD = 1e-8
@@ -79,79 +85,84 @@ class CauchyRepresentation:
         """Index of the pole closest to z."""
         return int(np.argmin(np.abs(self.poles - z)))
 
-    def in_guard(self, z):
-        j = self.nearest_pole(z)
-        return abs(self.poles[j] - z) < POLE_GUARD * (1.0 + abs(self.poles[j]))
-
     def __call__(self, z):
-        if self.in_guard(z):
-            raise EvaluationAtPole(f"z={z} within guard of pole")
-        t, w = self.poles[self._order], self.residues[self._order]
-        return self.constant + kahan_sum(w * (1.0 / (t - z) - 1.0 / t))
+        """F at one point or at every point of an array.
+
+        All N terms are summed in ascending-|t| order, and any point inside
+        the guard of a pole raises EvaluationAtPole.
+        """
+        zs = np.asarray(z, dtype=complex)
+        tj = self.poles[self.nearest_poles(zs)]
+        inside = cabs(tj - zs) < POLE_GUARD * (1.0 + np.abs(tj))
+        if np.any(inside):
+            raise EvaluationAtPole(f"z={zs[inside][0]} within guard of a pole")
+        n = self.poles.size
+        return self.constant + self._sums(zs, n, n)[0]
 
     def regular_part(self, j, z):
-        """F(z) - w_j/(t_j - z): the part analytic at pole j."""
-        t, w = self.poles, self.residues
-        mask = np.arange(t.size) != j
-        tm, wm = t[mask], w[mask]
-        head = self.constant - w[j] / t[j]
-        return head + sum_by_abs_pole(tm, wm * (1.0 / (tm - z) - 1.0 / tm))
-
-    def derivative(self, z):
-        """F'(z) = sum_n w_n/(t_n - z)^2 (not pole-safe)."""
-        t, w = self.poles[self._order], self.residues[self._order]
-        return kahan_sum(w / (t - z) ** 2)
+        """F(z) - w_j/(t_j - z): the part analytic at pole j, at one point."""
+        idx = self._order[self._order != j]
+        tm, wm = self.poles[idx], self.residues[idx]
+        head = self.constant - self.residues[j] / self.poles[j]
+        return head + kahan_sum(wm * (1.0 / (tm - z) - 1.0 / tm))
 
     def derivative_regular_part(self, j, z):
-        t, w = self.poles, self.residues
-        mask = np.arange(t.size) != j
-        tm, wm = t[mask], w[mask]
-        return sum_by_abs_pole(tm, wm / (tm - z) ** 2)
+        idx = self._order[self._order != j]
+        tm, wm = self.poles[idx], self.residues[idx]
+        return kahan_sum(wm / (tm - z) ** 2)
 
     def nearest_poles(self, zs):
         """nearest_pole at every point of zs, in blocks of BATCH_ELEMENTS."""
         zs = np.asarray(zs, dtype=complex)
-        js = np.empty(zs.shape, dtype=int)
+        flat = zs.ravel()
+        js = np.empty(flat.shape, dtype=int)
         step = max(1, BATCH_ELEMENTS // self.poles.size)
-        for k in range(0, zs.size, step):
+        for k in range(0, flat.size, step):
             js[k:k + step] = np.argmin(
-                np.abs(self.poles - zs[k:k + step, None]), axis=1)
-        return js
+                np.abs(self.poles - flat[k:k + step, None]), axis=1)
+        return js.reshape(zs.shape)
 
     def regular_parts(self, js, zs):
         """Regular parts of F and F' at many points, each at its own pole.
 
         Entry k equals regular_part(js[k], zs[k]) and
         derivative_regular_part(js[k], zs[k]) bit for bit: pole js[k] is
-        left out and the other terms are summed in ascending-|t| order with
-        Kahan compensation, vectorized along the points.  Row i of that sum
-        takes the pole of ascending-|t| rank i + (i >= rank of js[k]), and
-        the rows are formed in blocks of at most BATCH_ELEMENTS // points,
-        so the memory in use stays bounded whatever the atom and point
-        counts.
+        left out and the other terms are summed in the same order.
         """
-        t, w = self.poles, self.residues
         js = np.asarray(js, dtype=int)
         zs = np.asarray(zs, dtype=complex)
-        own = self._rank[js]
-        n_rows = t.size - 1
-        step = max(1, BATCH_ELEMENTS // max(js.size, 1))
+        t, w = self.poles, self.residues
+        sums = self._sums(zs, self._rank[js], t.size - 1)
+        head = self.constant - w[js] / t[js]
+        return head + sums[0], sums[1]
+
+    def _sums(self, zs, own, n_rows):
+        """Sums of w (1/(t - z) - 1/t) and of w/(t - z)^2 at the points zs.
+
+        Row i < n_rows at point k takes the pole of ascending-|t| rank
+        i + (i >= own[k]): n_rows = N - 1 leaves out rank own[k], and
+        own = n_rows = N keeps all.  The rows are Kahan-summed along all
+        points at once, in blocks of at most BATCH_ELEMENTS // points rows,
+        so the memory in use stays bounded at any atom and point count.
+        """
+        t, w = self.poles, self.residues
+        flat, own = zs.ravel(), np.ravel(own)
+        step = max(1, BATCH_ELEMENTS // max(flat.size, 1))
 
         def rows():
             for i in range(0, n_rows, step):
                 ranks = np.arange(i, min(i + step, n_rows))[:, None]
                 idx = self._order[ranks + (ranks >= own)]
                 tm, wm = t[idx], w[idx]
-                d = tm - zs
+                d = tm - flat
                 # bound to a name, so numpy cannot multiply into this
                 # temporary in place: its in-place complex multiply rounds
                 # differently from the out-of-place one of regular_part
                 diff = 1.0 / d - 1.0 / tm
                 yield from np.stack((wm * diff, wm / d ** 2), axis=1)
 
-        sums = np.broadcast_to(kahan_sum(rows()), (2,) + js.shape)
-        head = self.constant - w[js] / t[js]
-        return head + sums[0], sums[1]
+        sums = np.broadcast_to(kahan_sum(rows()), (2,) + flat.shape)
+        return sums.reshape((2,) + zs.shape)
 
 
 class ModelPair:
@@ -214,113 +225,83 @@ class ModelPair:
     def real_type(self):
         return classify_real_type(self.data)
 
-    # -- pointwise evaluation ---------------------------------------------
+    # -- evaluation at a point or an array of points ------------------------
 
-    def _split(self, z):
-        """Nearest atom j, u = t_j - z, and regular parts of beta, rho."""
-        j = self.beta.nearest_pole(z)
-        u = self.t[j] - z
-        return j, u
+    def _split(self, z, *reps, derivatives=False):
+        """Nearest atom j, u = t_j - z, and the regular parts at t_j of reps.
+
+        np.ndim(z) picks the work: one point goes through the compensated
+        scalar loops regular_part and derivative_regular_part, an array
+        through regular_parts, which agrees with them bit for bit.  Returns
+        j, u, the regular part of each of reps and, with derivatives, that
+        of each of their derivatives.
+        """
+        if np.ndim(z) == 0:
+            j = self.beta.nearest_pole(z)
+            parts = [rep.regular_part(j, z) for rep in reps]
+            if derivatives:
+                parts += [rep.derivative_regular_part(j, z) for rep in reps]
+        else:
+            z = np.asarray(z, dtype=complex)
+            j = self.beta.nearest_poles(z)
+            pairs = [rep.regular_parts(j, z) for rep in reps]
+            parts = [r for r, _ in pairs] + [rp for _, rp in pairs
+                                             if derivatives]
+        return (j, self.t[j] - z, *parts)
+
+    def _den(self, j, u, r):
+        """u (i + rho(z)) = i u + nu_j + u R, R the regular part of rho."""
+        return 1j * u + self.nu[j] + cmul(u, r)
 
     def theta(self, z):
-        j, u = self._split(z)
-        r = self.rho.regular_part(j, z)
-        nj = self.nu[j]
-        den = 1j * u + nj + u * r
-        return (1j * u - nj - u * r) / den
+        j, u, r = self._split(z, self.rho)
+        return (1j * u - self.nu[j] - cmul(u, r)) / self._den(j, u, r)
+
+    def _phi(self, beta, z):
+        j, u, b, r = self._split(z, beta, self.rho)
+        return 1j * (beta.residues[j] + cmul(u, b)) / self._den(j, u, r)
 
     def phi(self, z):
-        j, u = self._split(z)
-        b = self.beta.regular_part(j, z)
-        r = self.rho.regular_part(j, z)
-        wj = self.beta.residues[j]
-        return 1j * (wj + u * b) / (1j * u + self.nu[j] + u * r)
-
-    def _split_array(self, zs):
-        """_split at every point of zs: (zs, nearest atoms js, u)."""
-        zs = np.asarray(zs, dtype=complex)
-        js = self.beta.nearest_poles(zs)
-        return zs, js, self.t[js] - zs
-
-    def phi_array(self, zs):
-        """phi at every point of zs, bit for bit the values of phi."""
-        zs, js, u = self._split_array(zs)
-        b, _ = self.beta.regular_parts(js, zs)
-        r, _ = self.rho.regular_parts(js, zs)
-        wj = self.beta.residues[js]
-        return 1j * (wj + cmul(u, b)) / (1j * u + self.nu[js] + cmul(u, r))
+        return self._phi(self.beta, z)
 
     def phi_tilde(self, z):
         """phi_tilde(z) = Theta(z) * conj(phi(conj(z))), via conjugated data."""
-        j, u = self._split(z)
-        b = self._beta_star.regular_part(j, z)
-        r = self.rho.regular_part(j, z)
-        wj = self._beta_star.residues[j]
-        return 1j * (wj + u * b) / (1j * u + self.nu[j] + u * r)
+        return self._phi(self._beta_star, z)
 
     def one_plus_theta(self, z):
-        j, u = self._split(z)
-        r = self.rho.regular_part(j, z)
-        return 2j * u / (1j * u + self.nu[j] + u * r)
+        j, u, r = self._split(z, self.rho)
+        return 2j * u / self._den(j, u, r)
 
     def theta_prime(self, z):
         """Theta'(z) = -2i rho'(z) / (i + rho(z))^2, atom-stable.
 
         At an atom this reduces to -2i/nu_n.
         """
-        j, u = self._split(z)
-        r = self.rho.regular_part(j, z)
-        rp = self.rho.derivative_regular_part(j, z)
-        nj = self.nu[j]
-        den = 1j * u + nj + u * r
-        return -2j * (nj + u * u * rp) / (den * den)
+        j, u, r, rp = self._split(z, self.rho, derivatives=True)
+        den = self._den(j, u, r)
+        return -2j * (self.nu[j] + cmul(cmul(u, u), rp)) / cmul(den, den)
 
     def log_derivative_phi(self, z):
         """phi'(z)/phi(z) = beta'/beta - rho'/(i + rho), atom-stable."""
-        j, u = self._split(z)
-        b = self.beta.regular_part(j, z)
-        bp = self.beta.derivative_regular_part(j, z)
-        r = self.rho.regular_part(j, z)
-        rp = self.rho.derivative_regular_part(j, z)
-        wj = self.beta.residues[j]
-        nj = self.nu[j]
+        j, u, b, r, bp, rp = self._split(z, self.beta, self.rho,
+                                         derivatives=True)
         # d/dz of (w_j + u b) and (i u + nu_j + u r) with du/dz = -1
-        num = wj + u * b
-        den = 1j * u + nj + u * r
-        return (u * bp - b) / num - (u * rp - r - 1j) / den
-
-    def log_derivative_phi_array(self, zs):
-        """log_derivative_phi at every point of zs, bit for bit.
-
-        Products of two complex arrays are formed componentwise (cmul), as
-        the scalar multiply rounds.
-        """
-        zs, js, u = self._split_array(zs)
-        b, bp = self.beta.regular_parts(js, zs)
-        r, rp = self.rho.regular_parts(js, zs)
-        num = self.beta.residues[js] + cmul(u, b)
-        den = 1j * u + self.nu[js] + cmul(u, r)
-        return (cmul(u, bp) - b) / num - (cmul(u, rp) - r - 1j) / den
+        num = self.beta.residues[j] + cmul(u, b)
+        return ((cmul(u, bp) - b) / num
+                - (cmul(u, rp) - r - 1j) / self._den(j, u, r))
 
     def phi_prime(self, z):
-        return self.phi(z) * self.log_derivative_phi(z)
+        return cmul(self.phi(z), self.log_derivative_phi(z))
 
     def eval(self, which, z):
-        """Evaluate one of beta|rho|theta|phi|phi_tilde at z.
+        """Evaluate one of beta|rho|theta|phi|phi_tilde at a point or an array.
 
         beta and rho raise EvaluationAtPole inside the pole guard; the other
         three are analytic at atoms and use the regrouped limit formulas.
         """
-        fn = {
-            "beta": self.beta,
-            "rho": self.rho,
-            "theta": self.theta,
-            "phi": self.phi,
-            "phi_tilde": self.phi_tilde,
-        }.get(which)
-        if fn is None:
+        if which not in ("beta", "rho", "theta", "phi", "phi_tilde"):
             raise ValueError(f"unknown function {which!r}")
-        return fn(z)
+        return getattr(self, which)(z)
 
 
 def canonical_delta(data: RankOneData):
@@ -440,7 +421,7 @@ class ClarkMeasure:
 def clark_measure(model: ModelPair, zeta):
     """Clark measure of the model's Theta at unimodular zeta."""
     zeta = complex(zeta)
-    if abs(abs(zeta) - 1.0) > 1e-10:
+    if not abs(abs(zeta) - 1.0) <= 1e-10:      # nan fails too
         raise BadParameters("zeta must be unimodular")
     if abs(zeta - model.theta_infinity) <= 1e-12:
         raise DegenerateZeta(
@@ -462,10 +443,9 @@ def clark_measure(model: ModelPair, zeta):
         atoms = np.linalg.eigvalsh(mat)
         # Newton polish on Theta - zeta using the stable evaluator
         for _ in range(3):
-            f = np.array([model.theta(x) - zeta for x in atoms])
-            fp = np.array([model.theta_prime(x) for x in atoms])
-            atoms = atoms - (f / fp).real
-        weights = np.array([2.0 / abs(model.theta_prime(x)) for x in atoms])
+            atoms = atoms - ((model.theta(atoms) - zeta)
+                             / model.theta_prime(atoms)).real
+        weights = 2.0 / cabs(model.theta_prime(atoms))
     # q from the Herglotz representation evaluated at z = i
     zi = 1j
     g = (zeta + model.theta(zi)) / (zeta - model.theta(zi))
@@ -477,20 +457,22 @@ def clark_measure(model: ModelPair, zeta):
 
 
 def kernel_k(model: ModelPair, lam, z):
-    """Reproducing kernel k_lam(z) = (1 - conj(Theta(lam)) Theta(z)) / (z - conj(lam))."""
+    """Reproducing kernel k_lam(z) = (1 - conj(Theta(lam)) Theta(z)) / (z - conj(lam)).
+
+    lam and z are points or arrays that broadcast together; Theta is
+    evaluated once on each, and at z = conj(lam) the kernel takes its limit
+    -conj(Theta(lam)) Theta'(z).
+    """
     tl = np.conj(model.theta(lam))
-    lb = np.conj(lam)
-    if abs(z - lb) < 1e-9 * (1.0 + abs(z)):
-        return -tl * model.theta_prime(z)
-    return (1.0 - tl * model.theta(z)) / (z - lb)
+    return difference_quotient(1.0 - cmul(tl, model.theta(z)),
+                               z - np.conj(lam), z,
+                               lambda: cmul(-tl, model.theta_prime(z)))
 
 
 def kernel_k_tilde(model: ModelPair, lam, z):
     """k~_lam(z) = (Theta(z) - Theta(lam)) / (z - lam) = Theta(z) conj(k_lam(conj z))."""
-    tl = model.theta(lam)
-    if abs(z - lam) < 1e-9 * (1.0 + abs(z)):
-        return model.theta_prime(z)
-    return (model.theta(z) - tl) / (z - lam)
+    return difference_quotient(model.theta(z) - model.theta(lam), z - lam, z,
+                               lambda: model.theta_prime(z))
 
 
 def discrete_inner(f_vals, g_vals, weights):
@@ -501,29 +483,29 @@ def discrete_inner(f_vals, g_vals, weights):
                              * np.asarray(weights, dtype=float))
 
 
-def lebesgue_integral(fn, breakpoints=(), r0=None):
-    """integral over R of fn (rational decay O(x^-2)) by adaptive quadrature.
+def lebesgue_integral(fn, breakpoints=()):
+    """integral over R of fn (decaying faster than 1/|x|), adaptively.
 
-    Gauss-Kronrod on (-R, R) with atom breakpoints, plus the two tails mapped
-    to (0, 1] by x = +-R/u, so the rational decay is integrated exactly
-    instead of truncated, all at quad's default tolerances.  Returns (value,
-    tail_error_estimate), the latter the sum of the two tails' estimates.
+    Gauss-Kronrod on (-R, R) with the distinct breakpoints, plus the two
+    tails mapped to (0, 1] by x = +-R/u, so the decay is integrated exactly
+    instead of truncated, all at quad's default tolerances.  quad takes the
+    real and imaginary parts apart only when fn is complex-valued (as seen
+    at x = R).  Returns (value, tail_error_estimate), the latter the sum of
+    the two tails' estimates.
     """
     from scipy.integrate import quad
 
-    breaks = sorted(float(b) for b in breakpoints)
-    r = r0 if r0 is not None else max(10.0, 2.0 * (1.0 + max(
-        [abs(b) for b in breaks] or [1.0])))
+    breaks = sorted({float(b) for b in breakpoints})
+    r = max(10.0, 2.0 * (1.0 + max([abs(b) for b in breaks] or [1.0])))
     pts = [b for b in breaks if -r < b < r]
-    core, core_err = quad(fn, -r, r, points=pts or None, limit=400,
-                          complex_func=True)
+    cplx = bool(np.iscomplexobj(fn(r)))
+    core, _ = quad(fn, -r, r, points=pts or None, limit=400,
+                   complex_func=cplx)
     up, up_err = quad(lambda u: fn(r / u) * r / u ** 2, 0.0, 1.0,
-                      limit=200, complex_func=True)
+                      limit=200, complex_func=cplx)
     lo, lo_err = quad(lambda u: fn(-r / u) * r / u ** 2, 0.0, 1.0,
-                      limit=200, complex_func=True)
-    total = core + up + lo
-    tail_err = abs(up_err) + abs(lo_err)
-    return total, tail_err
+                      limit=200, complex_func=cplx)
+    return core + up + lo, abs(up_err) + abs(lo_err)
 
 
 class ClarkField:
@@ -545,17 +527,12 @@ class ClarkField:
             raise ValueError("u must have one coefficient per atom")
 
     def __call__(self, z):
+        """F at one point; at an atom t'_j, where Theta(t'_j) = zeta, the
+        factor (zeta - Theta(z))/(t'_j - z) takes its limit Theta'(t'_j)."""
         c, m = self.clark, self.model
-        j = int(np.argmin(np.abs(c.atoms - z)))
-        if abs(c.atoms[j] - z) < 1e-9 * (1.0 + abs(c.atoms[j])):
-            # (zeta - Theta(z))/(t'_j - z) -> Theta'(t'_j); split off atom j
-            mask = np.arange(c.atoms.size) != j
-            rest = kahan_sum(self.u[mask] * c.weights[mask]
-                             / (c.atoms[mask] - z))
-            head = self.u[j] * c.weights[j] * m.theta_prime(z)
-            return np.sqrt(np.pi) * ((c.zeta - m.theta(z)) * rest + head)
-        s = kahan_sum(self.u * c.weights / (c.atoms - z))
-        return np.sqrt(np.pi) * (c.zeta - m.theta(z)) * s
+        q = difference_quotient(c.zeta - m.theta(z), c.atoms - z, c.atoms,
+                                lambda: m.theta_prime(z))
+        return np.sqrt(np.pi) * kahan_sum(self.u * c.weights * q)
 
     def atom_samples(self):
         """Values at the atoms: F(t'_m) = 2i zeta sqrt(pi) u_m."""

@@ -96,6 +96,11 @@ class TestExitCodes:
         (["model", "eval", "{problem}", "--z", "a,b"], "BadParameters"),
         (["clark", "{problem}", "--zeta=x,0"], "BadParameters"),
         (["gallery", "lacunary", "--spectrum", "{text}"], "InvalidProblem"),
+        (["clark", "{problem}", "--zeta=nan,0"], "BadParameters"),
+        (["diagnose", "synthesis", "{problem}", "--partition", "0,2|1"],
+         "BadParameters"),
+        (["diagnose", "synthesis", "{problem}", "--partition", "0|x"],
+         "BadParameters"),
     ])
     def test_unparsable_input_exit_two(self, problem_file, argv, error):
         text = problem_file.parent / "spectrum.txt"
@@ -320,12 +325,17 @@ class TestFuzz:
                      st.text(",.-e0123456789ij", max_size=12))
     rect = st.one_of(st.lists(number, min_size=4, max_size=4).map(",".join),
                      st.lists(number, max_size=6).map(",".join))
+    indices = st.lists(st.integers(-1, 7), max_size=7).map(
+        lambda v: ",".join(map(str, v)))
+    partition = st.one_of(st.tuples(indices, indices).map("|".join),
+                          st.text(",|-0123456x", max_size=12))
     cases = st.one_of(
         st.tuples(st.just("rect"), rect),
         st.tuples(st.just("zeta"), pair),
         st.tuples(st.just("z"), pair),
         st.tuples(st.just("budget"), st.one_of(
-            st.integers(-3, 40).map(str), st.sampled_from(["", "x", "2.5"]))))
+            st.integers(-3, 40).map(str), st.sampled_from(["", "x", "2.5"]))),
+        st.tuples(st.just("partition"), partition))
 
     @pytest.fixture(scope="class")
     def six_atom_file(self, tmp_path_factory):
@@ -333,9 +343,21 @@ class TestFuzz:
         path.write_text(SIX_ATOM)
         return path
 
+    @staticmethod
+    def non_finite(text):
+        """True when text is one or two floats and one is nan or inf."""
+        try:
+            values = [float(p) for p in text.split(",")]
+        except ValueError:
+            return False
+        return len(values) <= 2 and not np.all(np.isfinite(values))
+
     @given(case=cases)
     @example(case=("rect", "-30,1e308,0,1"))   # phi'/phi overflows to nan
-    @settings(max_examples=40, deadline=None)
+    @example(case=("zeta", "nan,0"))           # passed the unimodular check
+    @example(case=("z", "1,inf"))
+    @example(case=("partition", "0,2|1,3,4,5,6,7"))    # index 6 of 6 atoms
+    @settings(max_examples=60, deadline=None)
     def test_exit_code_in_contract(self, six_atom_file, case):
         import tempfile
 
@@ -347,6 +369,11 @@ class TestFuzz:
             "z": ["model", "eval", str(six_atom_file), f"--z={value}"],
             "budget": ["diagnose", "synthesis", str(six_atom_file),
                        f"--budget={value}"],
+            "partition": ["diagnose", "synthesis", str(six_atom_file),
+                          f"--partition={value}"],
         }[option]
         with tempfile.TemporaryDirectory() as out:
-            assert main(["--quiet", "--out", out] + argv) in range(5)
+            code = main(["--quiet", "--out", out] + argv)
+        assert code in range(5)
+        if option in ("zeta", "z") and self.non_finite(value):
+            assert code == 2

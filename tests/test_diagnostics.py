@@ -6,7 +6,7 @@ import pytest
 from perturblab.errors import BadParameters, DivergentNearRealZero
 from perturblab.model import build_model
 from perturblab.engine import build_matrix, eigensystem, phi_zeros
-from perturblab.diagnostics import (WindowReport, _phi_poles,
+from perturblab.diagnostics import (WindowReport, _adaptive_panel, _phi_poles,
                                     enumerate_partitions, growth_profile,
                                     integral_test, macaev_check, mass_detect,
                                     synthesis_defect, volterra_window_check)
@@ -130,6 +130,17 @@ class TestIntegral:
         assert rep.decay_exponent == -2
         assert np.isfinite(rep.value) and rep.value > 0
         assert growth_profile(m).exact_exponent == 0
+
+    def test_twelve_atoms_pinned(self):
+        # the values of the former copy of the quadrature, bit for bit
+        m = build_model(separated_instance(
+            np.random.Generator(np.random.Philox(12)), 12))
+        rep = integral_test(m, 2.0, 1.0, 1.0)
+        assert (rep.value, rep.tail_estimate) == (0.9868464231288417,
+                                                  1.665952972582461e-16)
+        rep = integral_test(m, 1.5, 2.0, 0.5)
+        assert (rep.value, rep.tail_estimate) == (0.9651083925188582,
+                                                  1.0364085749337004e-08)
 
 
 class TestMacaev:
@@ -281,6 +292,22 @@ class TestWindow:
         assert volterra_window_check(m, (0.1, 20.0, 0.0, 4.0)) == \
             WindowReport(0, -8.942749341702598e-10, 0.013859014422947664,
                          0.00753374924573953, 0)
+
+    def test_bisection_evaluates_only_the_halves(self):
+        # a recursion gets its panel's integral from the parent and
+        # evaluates the 128 nodes of its two halves, not 192
+        z0 = 0.3 + 1e-3j
+        sizes = []
+
+        def fn(z):
+            sizes.append(z.size)
+            return 1.0 / (z - z0)
+
+        val, _ = _adaptive_panel(fn, -1.0 + 0j, 1.0 + 0j, 1e-8)
+        assert sizes[0] == 192 and len(sizes) > 5
+        assert set(sizes[1:]) == {128}
+        assert sum(sizes) < 192 * len(sizes)
+        assert abs(val - (np.log(1.0 - z0) - np.log(-1.0 - z0))) <= 1e-8
 
     def test_below_axis_counts_every_zero(self):
         # 60 eigenvalues of the oracle and 59 poles of phi lie inside

@@ -5,14 +5,14 @@ import pytest
 
 from perturblab.data import Atom, DiscreteSpectralData, RankNData
 from perturblab.errors import AdmissibilityError, OrderTooHigh
-from perturblab.model import build_model
+from perturblab.model import build_model, kernel_k
 from perturblab.engine import (MatrixRealization, _aberth_refine,
                                adjoint_data, adjoint_residual, build_matrix,
                                compute_spectrum, eigensystem, gauge_check,
                                generating_function, kappa_shift,
                                oracle_spectrum, phi_zeros, root_chain,
                                shifted_data, weighted_adjoint)
-from perturblab._numutil import matched_max_distance
+from perturblab._numutil import kahan_sum, matched_max_distance
 
 from conftest import (beta_numerators, make_data, random_instance,
                       separated_instance)
@@ -223,6 +223,21 @@ class TestEigensystem:
         es = eigensystem(one_atom)
         assert es.gram.shape == (1, 1)
         assert es.gram_offdiag == 0.0
+
+    def test_thirty_atoms_match_per_point_values(self):
+        # the batched samples and Gram matrix equal the per-point formulas
+        # h_lam(t_n) = phi(t_n)/(t_n - lam) and k_lam(t_n), bit for bit
+        data = separated_instance(np.random.Generator(np.random.Philox(3)),
+                                  30)
+        m = build_model(data)
+        es = eigensystem(data, model=m)
+        lams = es.eigenvalues
+        h = np.array([[m.phi(tn) / (tn - lam) for tn in m.t] for lam in lams])
+        k = np.array([[kernel_k(m, lam, tn) for tn in m.t] for lam in lams])
+        gram = np.array([[np.pi * kahan_sum(hj * np.conj(kk) * m.nu)
+                          for kk in k] for hj in h])
+        assert es.h_samples.tobytes() == h.tobytes()
+        assert es.gram.tobytes() == gram.tobytes()
 
     def test_collinearity_and_biorthogonality(self, rng):
         for _ in range(10):

@@ -16,6 +16,7 @@ from perturblab.model import (build_debranges, build_model, canonical_delta,
                               discrete_inner, kernel_k, kernel_k_tilde,
                               lebesgue_integral)
 from perturblab.engine import kappa_shift
+from perturblab._numutil import kahan_sum
 
 from conftest import beta_numerators, random_instance, separated_instance
 
@@ -208,7 +209,7 @@ class TestRegularParts:
         zs = rng.uniform(-25.0, 25.0, 4096) + 1j * rng.uniform(-3.0, 3.0, 4096)
         tracemalloc.start()
         try:
-            m.log_derivative_phi_array(zs)
+            m.log_derivative_phi(zs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -216,18 +217,45 @@ class TestRegularParts:
 
 
 class TestArrayForms:
-    """phi_array and log_derivative_phi_array against the scalar methods."""
+    """Every evaluator called on an array against its one-point calls."""
+
+    FUNCTIONS = ("phi", "theta", "phi_tilde", "one_plus_theta",
+                 "theta_prime", "log_derivative_phi")
 
     @pytest.mark.parametrize("n, k", [(1, 5), (7, 21), (60, 333), (500, 41)])
     def test_bitwise_equal_to_scalar(self, rng, n, k):
         data = random_instance(rng, n) if n < 60 else \
             separated_instance(rng, n)
         m = build_model(data)
-        zs = sample_points(rng, m.t, k)
-        phi = np.array([m.phi(z) for z in zs])
-        logd = np.array([m.log_derivative_phi(z) for z in zs])
-        assert m.phi_array(zs).tobytes() == phi.tobytes()
-        assert m.log_derivative_phi_array(zs).tobytes() == logd.tobytes()
+        zs = sample_points(rng, m.t, k)     # with guard points and atoms
+        for name in self.FUNCTIONS:
+            fn = getattr(m, name)
+            one = np.array([fn(z) for z in zs])
+            assert fn(zs).tobytes() == one.tobytes(), name
+        off = zs[:k]                        # beta and rho: off the guards
+        for rep in (m.beta, m.rho):
+            # the former one-point formula, all N terms in ascending |t|
+            t, w = rep.poles[rep._order], rep.residues[rep._order]
+            ref = np.array([rep.constant + kahan_sum(w * (1.0 / (t - z)
+                                                          - 1.0 / t))
+                            for z in off])
+            assert rep(off).tobytes() == ref.tobytes()
+            assert np.array([rep(z) for z in off]).tobytes() == ref.tobytes()
+
+    def test_shape_is_kept(self, rng):
+        m = build_model(random_instance(rng, 7))
+        zs = sample_points(rng, m.t, 12)[:12].reshape(3, 4)
+        for fn in (m.phi, m.theta_prime, m.beta):
+            assert fn(zs).shape == (3, 4)
+            assert fn(zs)[2, 1] == fn(zs[2, 1])
+
+    def test_guard_point_in_array_raises(self, rng):
+        m = build_model(random_instance(rng, 7))
+        zs = np.array([0.3 + 1j, 5.0 - 2j, m.t[3] + 1e-12, 2.0 + 0.5j])
+        for rep in (m.beta, m.rho):
+            with pytest.raises(EvaluationAtPole):
+                rep(zs)
+            rep(np.delete(zs, 2))
 
 
 class TestDeBranges:
