@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 invalid input, 3 tolerance failure
 (oracle/model mismatch or a failed hard check), 4 numerical failure.
-Artifacts are written under <out>/<command>/<input-hash>/ and each embeds
-its run manifest; re-running with the same manifest reproduces identical
+Artifacts are written under <out>/<command>/<input-hash>-<run-hash>/, the
+run hash covering the parameters and the seed, and each embeds its run
+manifest; re-running with the same manifest reproduces identical
 bytes.  The output root comes from --out, else the PERTURBLAB_OUT
 environment variable, else ./out.
 """
@@ -152,6 +153,9 @@ def model_eval(cfg, problem, which, points, real_grid, imag, delta):
     dl = delta if delta == "auto" else float(delta)
     m = build_model(data, delta=dl)
     zs = [_parse_complex(p) for p in points]
+    # the grid follows from real_grid and imag, so the manifest (whose
+    # parameters key the artifact directory) keeps only the --z points
+    given = [problemio.complex_to_pair(z) for z in zs]
     if real_grid:
         try:
             start, stop, count = real_grid.split(":")
@@ -164,7 +168,7 @@ def model_eval(cfg, problem, which, points, real_grid, imag, delta):
     manifest = problemio.make_manifest(
         "model-eval", {"which": which, "delta": str(delta), "imag": imag,
                        "real_grid": real_grid or "",
-                       "points": [problemio.complex_to_pair(z) for z in zs]},
+                       "points": given},
         text, cfg.seed)
     vals = m.eval(which, np.array(zs))
     rows = [(z.real, z.imag, v.real, v.imag) for z, v in zip(zs, vals)]
@@ -483,9 +487,12 @@ def _read_spectrum_file(path):
     if not isinstance(doc, list):
         raise InvalidProblem("spectrum file must be a JSON array (or {'t': [...]})")
     try:
-        return np.asarray(doc, dtype=float)
+        t = np.asarray(doc, dtype=float)
     except (TypeError, ValueError):
         raise InvalidProblem("spectrum file entries must be numbers")
+    if not np.all(np.isfinite(t)):
+        raise InvalidProblem("spectrum file entries must be finite")
+    return t
 
 
 @gallery_group.command("section4")

@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import (BadParameters, ContourTooClose, DivergentNearRealZero,
                      NotBiorthogonal)
-from .data import RankOneData, omega_matrix
-from .model import CauchyRepresentation, ModelPair, lebesgue_integral
+from .data import omega_matrix
+from .model import (BATCH_ELEMENTS, CauchyRepresentation, ModelPair,
+                    lebesgue_integral)
 from .engine import Eigensystem, _aberth_refine, phi_zeros
 from ._numutil import cabs
 
@@ -53,10 +54,8 @@ def growth_profile(model: ModelPair, y_max=1e4, n_points=200):
     phit = cabs(model.phi_tilde(1j * y))
     top = y >= y_max / 10.0
     mask = top & (phi > 0)
-    if np.count_nonzero(mask) >= 2:
-        slope = np.polyfit(np.log(y[mask]), np.log(phi[mask]), 1)[0]
-    else:
-        slope = float("nan")
+    slope = (np.polyfit(np.log(y[mask]), np.log(phi[mask]), 1)[0]
+             if np.count_nonzero(mask) >= 2 else float("nan"))
     env_mask = y >= 10.0
     env_vals = y[env_mask] * phi[env_mask]
     i_min = int(np.argmin(env_vals))
@@ -124,15 +123,11 @@ def macaev_check(data, picture="singular"):
     """Invertibility check of kappa - omega (singular) or I + omega (bounded)."""
     omega = omega_matrix(data)
     if picture == "singular":
-        if isinstance(data, RankOneData):
-            kappa = np.array([[data.kappa]])
-        else:
-            kappa = data.kappa
-        mat = kappa - omega
+        mat = np.atleast_2d(data.kappa) - omega
     elif picture == "bounded":
         mat = np.eye(omega.shape[0]) + omega
     else:
-        raise ValueError(f"unknown picture {picture!r}")
+        raise BadParameters(f"unknown picture {picture!r}")
     s = np.linalg.svd(mat, compute_uv=False)
     invertible = bool(s[-1] > 1e-12 * (1.0 + s[0]))
     return MacaevReport(picture, mat, float(s[-1]), invertible)
@@ -187,54 +182,63 @@ class SynthesisDefect:
     gram_condition: float
 
 
-def _defect_matrix(eigsys: Eigensystem, j1, j2):
-    x = np.stack([eigsys.model_vectors[:, j] for j in j1]
-                 + [eigsys.left_vectors[:, j] for j in j2], axis=1)
-    x = x * np.sqrt(eigsys.weights)[:, None]
-    norms = np.linalg.norm(x, axis=0)
-    if np.any(norms == 0):
-        raise NotBiorthogonal("zero column in the mixed system")
-    return x / norms
+def _worst_defect(eigsys: Eigensystem, total, rows_for):
+    """Worst defect over partitions 0..total-1, and total; rows_for(start,
+    stop) gives them as rows of indices into [f | g] (J1, then n + J2)."""
+    x = (np.concatenate([eigsys.model_vectors.T, eigsys.left_vectors.T])
+         * np.sqrt(eigsys.weights))
+    norms = np.sqrt(np.sum(x.real * x.real + x.imag * x.imag, axis=1))
+    unit = x / np.where(norms == 0, 1.0, norms)[:, None]
+    n = eigsys.eigenvalues.size
+    step = max(1, BATCH_ELEMENTS // (n * x.shape[1]))
+    row = s = None
+    for start in range(0, total, step):
+        rows = rows_for(start, min(start + step, total))
+        if np.any(norms[rows] == 0):
+            raise NotBiorthogonal("zero column in the mixed system")
+        block = np.linalg.svd(unit[rows].transpose(0, 2, 1), compute_uv=False)
+        i = np.argmin(block[:, -1])
+        if row is None or block[i, -1] < s[-1]:
+            row, s = rows[i], block[i]
+    partition = (tuple(int(j) for j in row if j < n),
+                 tuple(int(j) - n for j in row if j >= n))
+    cond = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
+    return SynthesisDefect(partition, float(s[-1]), cond), total
 
 
 def synthesis_defect(eigsys: Eigensystem, partition):
-    """Smallest singular value of the normalized mixed system {f}_J1 u {g}_J2."""
-    j1, j2 = (tuple(int(j) for j in partition[0]),
-              tuple(int(j) for j in partition[1]))
+    """Smallest singular value of the normalized mixed system {f}_J1 u {g}_J2,
+    columns in the given order: a batch of one through the sweep's kernel."""
+    j1, j2 = (tuple(int(j) for j in side) for side in partition)
     n = eigsys.eigenvalues.size
     if sorted(j1 + j2) != list(range(n)):
-        raise BadParameters(
-            f"partition must split 0..{n - 1}, got {partition}")
-    x = _defect_matrix(eigsys, j1, j2)
-    s = np.linalg.svd(x, compute_uv=False)
-    cond = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
-    return SynthesisDefect((j1, j2), float(s[-1]), cond)
+        raise BadParameters(f"partition must split 0..{n - 1}, got {partition}")
+    row = np.array([j1 + tuple(n + j for j in j2)])
+    return _worst_defect(eigsys, 1, lambda *_: row)[0]
 
 
 def enumerate_partitions(eigsys: Eigensystem, budget=10000, seed=0):
-    """Worst synthesis defect over partitions.
+    """Worst synthesis defect over partitions, and the number checked.
 
     Exhaustive for n <= 12 (2^n partitions); beyond that, `budget`
-    partitions, each drawn as n random bits from a counter-based generator
-    seeded with `seed`.  Bit j of a partition puts index j into J2.
+    partitions, each n random bits from a counter-based generator seeded
+    with `seed`.  Bit j of a partition puts index j into J2.  One kernel,
+    shared with synthesis_defect, normalizes the 2n columns [f | g] sqrt(mu)
+    once (norms summed in real arithmetic, independent of column position)
+    and takes one batched SVD per block of at most BATCH_ELEMENTS entries;
+    bits are made block by block, so the whole table never exists.
     """
     n = eigsys.eigenvalues.size
-    index = np.arange(n)
-    if n <= 12:
-        draws = ((mask >> index) & 1 for mask in range(2 ** n))
-    elif budget < 1:
+    if n > 12 and budget < 1:
         raise BadParameters(f"budget must be positive, got {budget}")
-    else:
-        rng = np.random.Generator(np.random.Philox(seed))
-        draws = (rng.integers(0, 2, size=n) for _ in range(budget))
-    worst = None
-    checked = 0
-    for bits in draws:
-        d = synthesis_defect(eigsys, (index[bits == 0], index[bits == 1]))
-        checked += 1
-        if worst is None or d.sigma_min < worst.sigma_min:
-            worst = d
-    return worst, checked
+    rng, index = np.random.Generator(np.random.Philox(seed)), np.arange(n)
+
+    def rows_for(start, stop):
+        bits = ((np.arange(start, stop)[:, None] >> index) & 1 if n <= 12
+                else rng.integers(0, 2, size=(stop - start, n)))
+        return np.sort(index + n * bits, axis=1)        # J1, then n + J2
+
+    return _worst_defect(eigsys, 2 ** n if n <= 12 else budget, rows_for)
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +346,11 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
                                p + (q - p) * (k + 1) / splits_per_seg))
         return panels
 
+    panels = [pan for a, b in zip(corners, corners[1:] + corners[:1])
+              for pan in edge_panels(a, b, 2)]
     tol = 0.05 * 2.0 * np.pi
-    winding = None
     for _ in range(max_refine):
-        total = 0.0 + 0.0j
-        err = 0.0
-        panels = []
-        for a, b in zip(corners, corners[1:] + corners[:1]):
-            panels.extend(edge_panels(a, b, 2))
+        total, err = 0.0 + 0.0j, 0.0
         for a, b in panels:
             val, e = _adaptive_panel(model.log_derivative_phi, a, b,
                                      tol / max(len(panels), 1))
@@ -366,11 +367,10 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
         raise ContourTooClose(
             f"winding integral {winding} not certified near an integer")
 
-    # poles of phi inside the contour (only possible below the real axis)
-    poles_in = 0
-    if y_bot < 0:
-        poles_in = int(np.sum((poles.real > x1) & (poles.real < x2)
-                              & (poles.imag > y_bot) & (poles.imag < y2)))
+    # poles of phi inside the contour (all lie below the real axis, so none
+    # when y_bot >= 0)
+    poles_in = int(np.sum((poles.real > x1) & (poles.real < x2)
+                          & (poles.imag > y_bot) & (poles.imag < y2)))
     count = int(round(winding)) + poles_in
 
     s = np.linspace(0.0, 1.0, 65)[:-1]

@@ -385,15 +385,26 @@ def eigensystem(data: RankOneData, model=None, matrix=None):
     rows, cols = linear_sum_assignment(np.abs(lams[:, None] - evals))
     evecs = evecs[:, cols[np.argsort(rows)]]
 
-    # h_lam(t_n) = phi(t_n)/(t_n - lam), with the limit phi'(t_n) at lam
     diff = t - lams[:, None]
-    h_samples = difference_quotient(model.phi(t), diff, t,
-                                    lambda: model.phi_prime(t))
-    # row j: the model vector a_n/(t_n - lam_j) and the left eigenvector
-    # b_n/(t_n - conj(lam_j)) of the weighted adjoint, normalized so that
-    # <f_j, g_j>_mu = 1
-    f = data.a / diff
-    g = data.b / (t - np.conj(lams)[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):   # checked below
+        # h_lam(t_n) = phi(t_n)/(t_n - lam), with the limit phi'(t_n) at lam
+        h_samples = difference_quotient(model.phi(t), diff, t,
+                                        lambda: model.phi_prime(t))
+        # row j: the model vector a_n/(t_n - lam_j) and the left eigenvector
+        # b_n/(t_n - conj(lam_j)) of the weighted adjoint, normalized so
+        # that <f_j, g_j>_mu = 1
+        f = data.a / diff
+        g = data.b / (t - np.conj(lams)[:, None])
+    # an eigenvalue on an atom t_n (which a_n = 0 allows) makes them 0/0
+    for stage, vals in (("model vector a_n/(t_n - lam)", f),
+                        ("left vector b_n/(t_n - conj(lam))", g),
+                        ("eigenfunction sample h_lam(t_n)", h_samples)):
+        bad = np.argwhere(~np.isfinite(vals))
+        if bad.size:
+            j, n = bad[0]
+            raise NotBiorthogonal(
+                f"eigensystem: {stage} is not finite at eigenvalue "
+                f"{lams[j]} on atom {n} (t_n = {t[n]}, a_n = {data.a[n]})")
     # row by row: numpy's complex multiply of whole matrices can round
     # otherwise than that of their rows, and the sum can add in another order
     ip = np.array([np.sum(fj * np.conj(gj) * mu) for fj, gj in zip(f, g)])

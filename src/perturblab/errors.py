@@ -77,6 +77,10 @@ class ExhaustedInput(PerturbLabError):
     """Supplied sequence is too short for the requested construction."""
 
 
+class NotLacunary(PerturbLabError):
+    """A computed lacunary sequence breaks one of its defining inequalities."""
+
+
 class ToleranceFailure(PerturbLabError):
     """A cross-check exceeded its tolerance (CLI exit code 3)."""
 

@@ -22,7 +22,7 @@ import mpmath as mp
 import numpy as np
 
 from .errors import (BadParameters, BisectionFailure, ExhaustedInput,
-                     NearPole, ToleranceFailure)
+                     NearPole, NotLacunary, ToleranceFailure)
 from .data import Atom, DiscreteSpectralData, RankOneData
 from ._numutil import kahan_sum
 
@@ -175,12 +175,24 @@ def lacunary_sequence(t_seq, max_terms=64):
     if len(xs) < 2:
         raise ExhaustedInput("spectrum has no point above 4")
     xs = np.asarray(xs)
-    for k in range(len(xs) - 1):
-        assert 2.0 * xs[k] < np.sqrt(xs[k + 1])
-        assert np.any((t > 2.0 * xs[k]) & (t < np.sqrt(xs[k + 1])))
-    for k, x in enumerate(xs):
-        assert x >= 2.0 ** (2.0 ** k) or k == 0
+    _check_lacunary(xs, t)
     return xs
+
+
+def _check_lacunary(xs, t):
+    """Raise NotLacunary unless xs (x_1 = xs[0]) keeps, for every k,
+    2 x_k < sqrt(x_{k+1}) with a point of t in between and, from k = 2 on,
+    x_k >= 2^(2^(k-1)) (compared through log2, which cannot overflow)."""
+    for k in range(1, len(xs)):
+        lo, hi = 2.0 * xs[k - 1], np.sqrt(xs[k])
+        if not lo < hi:
+            raise NotLacunary(f"2 x_{k} = {lo} is not below sqrt(x_{k + 1})"
+                              f" = {hi}")
+        if not np.any((t > lo) & (t < hi)):
+            raise NotLacunary(f"no spectrum point in (2 x_{k}, "
+                              f"sqrt(x_{k + 1})) = ({lo}, {hi})")
+        if not np.log2(xs[k]) >= 2.0 ** k:
+            raise NotLacunary(f"x_{k + 1} = {xs[k]} is below 2^(2^{k})")
 
 
 # ---------------------------------------------------------------------------

@@ -168,11 +168,19 @@ def make_manifest(command, parameters, raw_input_text, seed):
 
 
 def artifact_dir(out_root, manifest: RunManifest):
-    """Cache-addressable layout out/<command>/<input-hash>/."""
+    """Cache-addressable layout out/<command>/<input-hash>-<run-hash>/.
+
+    The run hash covers the command's canonical parameters and the seed, so
+    runs that differ in either never share a directory, and an identical
+    manifest always maps to the same one.
+    """
     from pathlib import Path
 
+    # json.dumps serializes plain values in C; jsonable sees only the rest
+    run = json.dumps([manifest.parameters, manifest.seed], sort_keys=True,
+                     default=jsonable)
     d = Path(out_root) / manifest.command.replace(" ", "_") \
-        / manifest.input_hash[:16]
+        / f"{manifest.input_hash[:16]}-{input_hash(run)[:16]}"
     d.mkdir(parents=True, exist_ok=True)
     return d
 

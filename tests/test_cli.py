@@ -101,11 +101,15 @@ class TestExitCodes:
          "BadParameters"),
         (["diagnose", "synthesis", "{problem}", "--partition", "0|x"],
          "BadParameters"),
+        (["gallery", "lacunary", "--spectrum", "{inf}"], "InvalidProblem"),
     ])
     def test_unparsable_input_exit_two(self, problem_file, argv, error):
         text = problem_file.parent / "spectrum.txt"
         text.write_text("1 2 3\n")
-        argv = [a.format(problem=problem_file, text=text) for a in argv]
+        inf = problem_file.parent / "spectrum_inf.json"
+        inf.write_text("[5, Infinity]\n")   # past the lacunary invariants
+        argv = [a.format(problem=problem_file, text=text, inf=inf)
+                for a in argv]
         proc = run_fresh(argv, problem_file.parent / "out")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
@@ -120,6 +124,25 @@ class TestExitCodes:
         code = main(["--tol", "1e-30", "--quiet", "--out",
                      str(tmp_path / "out"), "compare", str(path)])
         assert code == 3
+
+    def test_eigenvalue_on_an_atom_exit_four(self, tmp_path):
+        # a_3 = 0 makes t_3 an exact eigenvalue, where the model vector
+        # a_n/(t_n - lam) is 0/0: the error names it before an SVD sees nan
+        from conftest import make_data, separated_instance
+
+        d = separated_instance(np.random.Generator(np.random.Philox(23)), 12)
+        a = d.a.copy()
+        a[3] = 0.0
+        path = tmp_path / "a3_zero.json"
+        path.write_text(serialize_problem(
+            make_data(d.t, d.mu, a, d.b, d.kappa)))
+        proc = run_fresh(["diagnose", "synthesis", path], tmp_path / "out")
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        assert "SVD did not converge" not in proc.stderr
+        assert ("NotBiorthogonal: eigensystem: model vector a_n/(t_n - lam) "
+                "is not finite at eigenvalue") in proc.stderr
+        assert f"on atom 3 (t_n = {d.t[3]}, a_n = 0j)" in proc.stderr
 
 
 class TestArtifacts:
@@ -180,6 +203,39 @@ class TestArtifacts:
         doc, _ = read_artifact(tmp_path / "out", "diagnose-volterra-window",
                                "volterra_window")
         assert doc["result"]["count"] == 1
+
+
+class TestArtifactKeys:
+    """Runs that differ in a parameter or the seed never share a directory."""
+
+    def test_clark_zetas_leave_two_artifacts(self, tmp_path, problem_file):
+        for zeta in ("-1,0", "0,1"):
+            assert main(["--quiet", "--out", str(tmp_path / "out"), "clark",
+                         str(problem_file), f"--zeta={zeta}"]) == 0
+        hits = sorted((tmp_path / "out" / "clark").glob("*/clark.json"))
+        assert len(hits) == 2
+        zetas = {json.loads(h.read_text())["manifest"]["parameters"]["zeta"]
+                 for h in hits}
+        assert zetas == {"-1,0", "0,1"}
+
+    def test_spectrum_routes_and_seeds_leave_own_directories(self, tmp_path,
+                                                             problem_file):
+        for seed, route in (("0", "shift"), ("0", "direct"), ("3", "direct")):
+            assert main(["--quiet", "--out", str(tmp_path / "out"), "--seed",
+                         seed, "spectrum", str(problem_file),
+                         "--route", route]) == 0
+        dirs = list((tmp_path / "out" / "spectrum").iterdir())
+        assert len(dirs) == 3
+        assert len({d.name.split("-")[0] for d in dirs}) == 1  # one input
+
+    def test_rerun_writes_same_path_and_bytes(self, tmp_path, problem_file):
+        paths = []
+        for _ in range(2):
+            assert main(["--quiet", "--out", str(tmp_path / "out"), "clark",
+                         str(problem_file), "--zeta=0,1"]) == 0
+            (path,) = (tmp_path / "out" / "clark").glob("*/clark.json")
+            paths.append((path, path.read_bytes()))
+        assert paths[0] == paths[1]
 
 
 class TestReproducibility:
@@ -300,6 +356,20 @@ class TestSynthesisSize:
                                "synthesis")
         assert doc["result"]["partitions_checked"] == 8
         assert sorted(sum(doc["result"]["partition"], [])) == list(range(65))
+
+    def test_60_atoms_budget_2000(self, tmp_path):
+        from conftest import separated_instance
+
+        data = separated_instance(np.random.Generator(np.random.Philox(23)),
+                                  60)
+        path = tmp_path / "p60.json"
+        path.write_text(serialize_problem(data))
+        assert main(["--quiet", "--out", str(tmp_path / "out"), "diagnose",
+                     "synthesis", str(path), "--budget", "2000"]) == 0
+        doc, _ = read_artifact(tmp_path / "out", "diagnose-synthesis",
+                               "synthesis")
+        assert doc["result"]["partitions_checked"] == 2000
+        assert sorted(sum(doc["result"]["partition"], [])) == list(range(60))
 
 
 SIX_ATOM = json.dumps({

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from perturblab.errors import BadParameters, DivergentNearRealZero
-from perturblab.model import build_model
+from perturblab.errors import (BadParameters, DivergentNearRealZero,
+                               NotBiorthogonal)
+from perturblab.model import BATCH_ELEMENTS, build_model
 from perturblab.engine import build_matrix, eigensystem, phi_zeros
-from perturblab.diagnostics import (WindowReport, _adaptive_panel, _phi_poles,
+from perturblab.diagnostics import (SynthesisDefect, WindowReport,
+                                    _adaptive_panel, _phi_poles,
                                     enumerate_partitions, growth_profile,
                                     integral_test, macaev_check, mass_detect,
                                     synthesis_defect, volterra_window_check)
@@ -195,6 +197,25 @@ class TestMass:
         assert not rep.has_mass
 
 
+def separated(n):
+    """separated_instance's atoms; an odd n keeps the first n of n + 1."""
+    d = separated_instance(np.random.Generator(np.random.Philox(0)),
+                           n + n % 2)
+    return make_data(d.t[:n], d.mu[:n], d.a[:n], d.b[:n], d.kappa)
+
+
+def reference_defect(es, j1, j2):
+    """(sigma_min, condition) of one partition, the plain way: gather its
+    columns in order, normalize each on its own, one np.linalg.svd."""
+    cols = []
+    for v in ([es.model_vectors[:, j] for j in j1]
+              + [es.left_vectors[:, j] for j in j2]):
+        c = v * np.sqrt(es.weights)
+        cols.append(c / np.sqrt(np.sum(c.real * c.real + c.imag * c.imag)))
+    s = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)
+    return s[-1], s[0] / s[-1]
+
+
 class TestSynthesisDefect:
     def test_two_atom_partitions(self, two_atom):
         es = eigensystem(two_atom)
@@ -255,6 +276,48 @@ class TestSynthesisDefect:
         es.model_vectors[:, 0] *= np.exp(0.73j)
         sd_phase = synthesis_defect(es, ((0, 2), (1, 3)))
         assert sd.sigma_min == pytest.approx(sd_phase.sigma_min, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 12, 13, 30])
+    def test_sweep_equals_per_partition_reference(self, n):
+        # the exhaustive masks, or the per-draw loop of n bits from the same
+        # stream with a budget that is no multiple of the kernel's block
+        es = eigensystem(separated(n))
+        index = np.arange(n)
+        if n <= 12:
+            draws = [(m >> index) & 1 for m in range(2 ** n)]
+        else:
+            rng = np.random.Generator(np.random.Philox(7))
+            draws = [rng.integers(0, 2, size=n) for _ in range(101)]
+            assert len(draws) % (BATCH_ELEMENTS // (n * n)) != 0
+        worst, checked = enumerate_partitions(es, budget=len(draws), seed=7)
+        assert checked == len(draws)
+        ref = None
+        for bits in draws:
+            part = (tuple(np.flatnonzero(bits == 0)),
+                    tuple(np.flatnonzero(bits == 1)))
+            sigma, cond = reference_defect(es, *part)
+            if ref is None or sigma < ref.sigma_min:
+                ref = SynthesisDefect(part, sigma, cond)
+        assert worst == ref                                 # bit for bit
+        assert synthesis_defect(es, worst.partition) == worst
+
+    @pytest.mark.parametrize("part", [((4, 0, 2), (5, 1, 3)),
+                                      ((3, 1, 0, 5, 2, 4), ()),
+                                      ((), (5, 4, 3, 2, 1, 0))])
+    def test_explicit_partition_keeps_its_order(self, part):
+        es = eigensystem(separated(6))
+        sd = synthesis_defect(es, part)
+        assert sd.partition == part
+        assert (sd.sigma_min, sd.gram_condition) == reference_defect(es, *part)
+
+    def test_zero_column_raises_only_when_used(self):
+        es = eigensystem(separated(6))
+        es.model_vectors[:, 2] = 0.0
+        assert synthesis_defect(es, ((0, 1, 3, 4, 5), (2,))).sigma_min > 0
+        with pytest.raises(NotBiorthogonal):
+            synthesis_defect(es, ((2,), (0, 1, 3, 4, 5)))
+        with pytest.raises(NotBiorthogonal):
+            enumerate_partitions(es)
 
 
 class TestWindow:

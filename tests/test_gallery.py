@@ -1,13 +1,16 @@
 """Explicit constructions: zero-free instance, expansions, interlacing build."""
 
+import re
+
 import numpy as np
 import pytest
 
-from perturblab.errors import BadParameters, ExhaustedInput, NearPole
-from perturblab.gallery import (cos_pi_sqrt, lacunary_sequence,
-                                mittag_leffler_check, section4_build,
-                                sharp_instance, sharp_zero_freeness,
-                                synthesis_gap_check)
+from perturblab.errors import (BadParameters, ExhaustedInput, NearPole,
+                               NotLacunary)
+from perturblab.gallery import (_check_lacunary, cos_pi_sqrt,
+                                lacunary_sequence, mittag_leffler_check,
+                                section4_build, sharp_instance,
+                                sharp_zero_freeness, synthesis_gap_check)
 from perturblab.model import build_model
 
 
@@ -131,6 +134,17 @@ class TestLacunary:
     def test_exhausted(self):
         with pytest.raises(ExhaustedInput):
             lacunary_sequence([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("xs, broken", [
+        ([2.0, 16.0], "2 x_1 = 4.0 is not below sqrt(x_2) = 4.0"),
+        ([2.0, 26.0], "no spectrum point in (2 x_1, sqrt(x_2))"),
+        # from x_1 >= 2 on, the first inequality implies the growth bound
+        ([0.1, 1.0], "x_2 = 1.0 is below 2^(2^1)"),
+    ])
+    def test_invariants_raise_typed_errors(self, xs, broken):
+        t = np.array([0.5, 4.0, 5.2])         # none in (4, sqrt(26) = 5.1)
+        with pytest.raises(NotLacunary, match=re.escape(broken)):
+            _check_lacunary(np.array(xs), t)
 
 
 @pytest.fixture(scope="module")
