@@ -1,4 +1,4 @@
-"""Small numeric helpers: compensated summation, rank tests, matching."""
+"""Small numeric helpers: summation, quadrature, rank tests, matching."""
 
 import numpy as np
 
@@ -49,6 +49,37 @@ def difference_quotient(num, diff, scale, limit):
     near = cabs(diff) < 1e-9 * (1.0 + cabs(np.asarray(scale, dtype=complex)))
     q = num / np.where(near, 1.0, diff)
     return (np.where(near, limit(), q) if np.any(near) else q)[()]
+
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def adaptive_panel(fn, a, b, tol, whole=None, depth=0):
+    """64-point panels, bisected until two levels agree within tol.
+
+    Resolves spikes, such as those of phi'/phi from zeros sitting just off
+    a window edge, which a fixed panel count can step over.  fn maps an
+    array of points to an array of values.  The nodes of the
+    panel (unless its integral comes in as whole, computed by the parent)
+    and of its two halves go through one call: 192 points at the top and
+    128 in each recursion.
+    """
+    mid = (a + b) / 2.0
+    pieces = ((a, mid), (mid, b)) if whole is not None else \
+        ((a, b), (a, mid), (mid, b))
+    half_widths = [(q - p) / 2.0 for p, q in pieces]
+    vals = fn(np.concatenate([(p + q) / 2.0 + h * GL_NODES
+                              for (p, q), h in zip(pieces, half_widths)]))
+    sums = [h * np.sum(GL_WEIGHTS * v)
+            for h, v in zip(half_widths, np.split(vals, len(pieces)))]
+    whole = sums[0] if whole is None else whole
+    left, right = sums[-2:]
+    split = left + right
+    if abs(whole - split) <= tol or depth >= 24 or not np.isfinite(split):
+        return split, abs(whole - split)
+    left, le = adaptive_panel(fn, a, mid, tol / 2.0, left, depth + 1)
+    right, re_ = adaptive_panel(fn, mid, b, tol / 2.0, right, depth + 1)
+    return left + right, le + re_
 
 
 def sum_by_abs_pole(poles, terms):

@@ -19,7 +19,7 @@ from .data import omega_matrix
 from .model import (BATCH_ELEMENTS, CauchyRepresentation, ModelPair,
                     lebesgue_integral)
 from .engine import Eigensystem, _aberth_refine, phi_zeros
-from ._numutil import cabs
+from ._numutil import adaptive_panel, cabs
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +99,8 @@ def integral_test(model: ModelPair, n_weight, tau, eta):
         return IntegralReport(float("inf"), float("inf"), False, float(decay))
 
     def integrand(x):
-        return 1.0 / (abs(model.phi(x + 1j * eta)) ** tau
-                      * (1.0 + abs(x)) ** n_weight)
+        return (cabs(model.phi(x + 1j * eta)) ** -tau
+                * (1.0 + np.abs(x)) ** -n_weight)
 
     value, tail = lebesgue_integral(
         integrand, np.concatenate([model.t, zeros.zeros.real]))
@@ -245,37 +245,6 @@ def enumerate_partitions(eigsys: Eigensystem, budget=10000, seed=0):
 # Argument-principle window check
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def _adaptive_panel(fn, a, b, tol, whole=None, depth=0):
-    """64-point panels, bisected until two levels agree within tol.
-
-    Resolves phi'/phi spikes from zeros sitting just off an edge, which a
-    fixed panel count can step over while still landing near an integer.
-    fn maps an array of points to an array of values.  The nodes of the
-    panel (unless its integral comes in as whole, computed by the parent)
-    and of its two halves go through one call: 192 points at the top and
-    128 in each recursion.
-    """
-    mid = (a + b) / 2.0
-    pieces = ((a, mid), (mid, b)) if whole is not None else \
-        ((a, b), (a, mid), (mid, b))
-    half_widths = [(q - p) / 2.0 for p, q in pieces]
-    vals = fn(np.concatenate([(p + q) / 2.0 + h * _GL_NODES
-                              for (p, q), h in zip(pieces, half_widths)]))
-    sums = [h * np.sum(_GL_WEIGHTS * v)
-            for h, v in zip(half_widths, np.split(vals, len(pieces)))]
-    whole = sums[0] if whole is None else whole
-    left, right = sums[-2:]
-    split = left + right
-    if abs(whole - split) <= tol or depth >= 24 or not np.isfinite(split):
-        return split, abs(whole - split)
-    left, le = _adaptive_panel(fn, a, mid, tol / 2.0, left, depth + 1)
-    right, re_ = _adaptive_panel(fn, mid, b, tol / 2.0, right, depth + 1)
-    return left + right, le + re_
-
-
 def _phi_poles(model: ModelPair):
     """Poles of phi: the N zeros of i + rho.
 
@@ -352,8 +321,8 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
     for _ in range(max_refine):
         total, err = 0.0 + 0.0j, 0.0
         for a, b in panels:
-            val, e = _adaptive_panel(model.log_derivative_phi, a, b,
-                                     tol / max(len(panels), 1))
+            val, e = adaptive_panel(model.log_derivative_phi, a, b,
+                                    tol / max(len(panels), 1))
             total += val
             err += e
         winding = (total / (2j * np.pi)).real

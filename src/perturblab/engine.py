@@ -39,6 +39,8 @@ INVERSE_RTOL = 1e-10
 JORDAN_RANK_RTOL = 1e-7
 #: eigenvalue cluster radius, relative to the spectral scale
 CLUSTER_RTOL = 1e-6
+#: most Aberth iterations of one refinement
+ABERTH_ITERATIONS = 120
 
 
 def _columns(data):
@@ -217,7 +219,7 @@ def _sum_inverse_differences(zs, points, skip):
     return sums
 
 
-def _aberth_refine(rep: CauchyRepresentation, roots, iterations=120):
+def _aberth_refine(rep: CauchyRepresentation, roots):
     """Simultaneous refinement of the zeros of a Cauchy transform.
 
     F(z) = c + sum_n w_n/(t_n - z) with c = F(infinity) != 0 has exactly
@@ -242,7 +244,7 @@ def _aberth_refine(rep: CauchyRepresentation, roots, iterations=120):
     scale = max(1.0, float(np.max(np.abs(t))))
     nudge = -1e-8 * scale * (1.0 + 1.0j)
     with np.errstate(all="ignore"):
-        for _ in range(iterations):
+        for _ in range(ABERTH_ITERATIONS):
             js = rep.nearest_poles(roots)
             u = t[js] - roots
             r, rp = rep.regular_parts(js, roots)
@@ -495,9 +497,9 @@ def root_chain(model: ModelPair, lam, k):
     constants = np.array([-kahan_sum(w * inverse ** ell) / c_inf
                           for ell in range(1, k + 1)])
     chain = np.zeros(k)
-    for z in _probe_points(t):
-        half = model.one_plus_theta(z) / 2.0
-        phi = model.phi(z)
+    probes = np.array(_probe_points(t))
+    for z, half, phi in zip(probes, model.one_plus_theta(probes) / 2.0,
+                            model.phi(probes)):
         prev = 0.0
         for ell in range(1, k + 1):
             h = kahan_sum(w * inverse ** ell / (t - z)) * half

@@ -137,7 +137,7 @@ def mittag_leffler_check(z, n_terms):
     return MittagLefflerReport(z, n_terms, lhs, rhs, err, tail)
 
 
-def sharp_zero_freeness(instance: SharpInstance, rectangle, nudge=None):
+def sharp_zero_freeness(instance: SharpInstance, rectangle):
     """Zero count of the truncated generating function over a rectangle.
 
     Runs the argument-principle window check; the construction claims no
@@ -147,7 +147,7 @@ def sharp_zero_freeness(instance: SharpInstance, rectangle, nudge=None):
     from .diagnostics import volterra_window_check
 
     model = build_model(instance.data)
-    return volterra_window_check(model, rectangle, nudge=nudge)
+    return volterra_window_check(model, rectangle)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +253,7 @@ def _tail_monotone_max_n(u_of_n, n_values, tail_from):
     return best
 
 
-def section4_build(t_seq, truncation, v_rule="default", sparsity="doubling",
-                   dps=SECTION4_DPS):
+def section4_build(t_seq, truncation, dps=SECTION4_DPS):
     """Run the interlacing construction on the first `truncation` atoms.
 
     Builds A0 over the doubling subsequence {t_{n_k}}, the interlacing
@@ -322,8 +321,6 @@ def section4_build(t_seq, truncation, v_rule="default", sparsity="doubling",
                     b_, fb = mid, fm
             zeros.append((a_ + b_) / 2)
 
-        if sparsity != "doubling":
-            raise BadParameters("only the doubling sparsity rule is provided")
         sparse_pos = []
         j = 0
         while 2 ** j <= len(zeros):

@@ -20,10 +20,10 @@ where B, R are the regular parts of beta, rho at t_j.  These forms are exact
 algebra and remain stable arbitrarily close to (and at) the atoms, where the
 pole of beta cancels against the zero of 1 + Theta.
 
-Each evaluator takes one point, summed by the compensated scalar loop
-regular_part, or an array, summed by regular_parts in the same order along
-all points at once; complex products go through _numutil.cmul, so both give
-the same values bit for bit.
+Each evaluator takes one point or an array; either goes through one batched
+kernel, regular_parts, which Kahan-sums the terms in ascending-|t| order
+along all points at once, so a point gives the same value bit for bit alone
+or in an array (complex products go through _numutil.cmul).
 
 The free real constant delta in rho defaults to sum_n nu_n / t_n, which makes
 rho(z) = sum_n nu_n/(t_n - z) = B/A exactly, so Theta coincides with E*/E for
@@ -38,8 +38,8 @@ import numpy as np
 from .errors import (AdmissibilityError, BadParameters, DegenerateZeta,
                      EvaluationAtPole, MassPresent)
 from .data import EQUALITY_RTOL, RankOneData, validate, classify_real_type
-from ._numutil import (cabs, cmul, difference_quotient, kahan_sum,
-                       sum_by_abs_pole)
+from ._numutil import (GL_NODES, GL_WEIGHTS, adaptive_panel, cabs, cmul,
+                       difference_quotient, kahan_sum, sum_by_abs_pole)
 
 #: relative pole guard distance: 1e-8 * (1 + |t_n|)
 POLE_GUARD = 1e-8
@@ -47,6 +47,10 @@ POLE_GUARD = 1e-8
 #: temporary of a block stays within 64 KB, whatever the batch size (larger
 #: blocks were no faster and raised the peak resident set by megabytes)
 BATCH_ELEMENTS = 4096
+#: lebesgue_integral's tolerance, relative to the integral of |fn|
+INTEGRAL_RTOL = 1e-10
+#: where lebesgue_integral's tails end: the evaluators stay finite there
+TAIL_END = 1e150
 
 
 @dataclass(frozen=True)
@@ -81,10 +85,6 @@ class CauchyRepresentation:
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_rank", rank)
 
-    def nearest_pole(self, z):
-        """Index of the pole closest to z."""
-        return int(np.argmin(np.abs(self.poles - z)))
-
     def __call__(self, z):
         """F at one point or at every point of an array.
 
@@ -99,20 +99,9 @@ class CauchyRepresentation:
         n = self.poles.size
         return self.constant + self._sums(zs, n, n)[0]
 
-    def regular_part(self, j, z):
-        """F(z) - w_j/(t_j - z): the part analytic at pole j, at one point."""
-        idx = self._order[self._order != j]
-        tm, wm = self.poles[idx], self.residues[idx]
-        head = self.constant - self.residues[j] / self.poles[j]
-        return head + kahan_sum(wm * (1.0 / (tm - z) - 1.0 / tm))
-
-    def derivative_regular_part(self, j, z):
-        idx = self._order[self._order != j]
-        tm, wm = self.poles[idx], self.residues[idx]
-        return kahan_sum(wm / (tm - z) ** 2)
-
     def nearest_poles(self, zs):
-        """nearest_pole at every point of zs, in blocks of BATCH_ELEMENTS."""
+        """Index of the pole nearest each point of zs, in blocks of
+        BATCH_ELEMENTS."""
         zs = np.asarray(zs, dtype=complex)
         flat = zs.ravel()
         js = np.empty(flat.shape, dtype=int)
@@ -125,9 +114,9 @@ class CauchyRepresentation:
     def regular_parts(self, js, zs):
         """Regular parts of F and F' at many points, each at its own pole.
 
-        Entry k equals regular_part(js[k], zs[k]) and
-        derivative_regular_part(js[k], zs[k]) bit for bit: pole js[k] is
-        left out and the other terms are summed in the same order.
+        Entry k is F(z) - w_j/(t_j - z) and its derivative at z = zs[k],
+        j = js[k], the other terms summed in ascending-|t| order; a point
+        (0-d js and zs) is a batch of one and gives numpy scalars.
         """
         js = np.asarray(js, dtype=int)
         zs = np.asarray(zs, dtype=complex)
@@ -228,25 +217,13 @@ class ModelPair:
     # -- evaluation at a point or an array of points ------------------------
 
     def _split(self, z, *reps, derivatives=False):
-        """Nearest atom j, u = t_j - z, and the regular parts at t_j of reps.
-
-        np.ndim(z) picks the work: one point goes through the compensated
-        scalar loops regular_part and derivative_regular_part, an array
-        through regular_parts, which agrees with them bit for bit.  Returns
-        j, u, the regular part of each of reps and, with derivatives, that
-        of each of their derivatives.
-        """
-        if np.ndim(z) == 0:
-            j = self.beta.nearest_pole(z)
-            parts = [rep.regular_part(j, z) for rep in reps]
-            if derivatives:
-                parts += [rep.derivative_regular_part(j, z) for rep in reps]
-        else:
-            z = np.asarray(z, dtype=complex)
-            j = self.beta.nearest_poles(z)
-            pairs = [rep.regular_parts(j, z) for rep in reps]
-            parts = [r for r, _ in pairs] + [rp for _, rp in pairs
-                                             if derivatives]
+        """Nearest atom j, u = t_j - z, the regular parts at t_j of reps and,
+        with derivatives, those of their derivatives: one batch through
+        regular_parts, whether z is a point or an array."""
+        z = np.asarray(z, dtype=complex)
+        j = self.beta.nearest_poles(z)
+        pairs = [rep.regular_parts(j, z) for rep in reps]
+        parts = [r for r, _ in pairs] + [rp for _, rp in pairs if derivatives]
         return (j, self.t[j] - z, *parts)
 
     def _den(self, j, u, r):
@@ -448,7 +425,8 @@ def clark_measure(model: ModelPair, zeta):
         weights = 2.0 / cabs(model.theta_prime(atoms))
     # q from the Herglotz representation evaluated at z = i
     zi = 1j
-    g = (zeta + model.theta(zi)) / (zeta - model.theta(zi))
+    theta_i = model.theta(zi)
+    g = (zeta + theta_i) / (zeta - theta_i)
     cauchy = kahan_sum(weights * (1.0 / (atoms - zi)
                                   - atoms / (atoms ** 2 + 1.0)))
     q = -1j * (g - cauchy / 1j)
@@ -484,28 +462,38 @@ def discrete_inner(f_vals, g_vals, weights):
 
 
 def lebesgue_integral(fn, breakpoints=()):
-    """integral over R of fn (decaying faster than 1/|x|), adaptively.
+    """Integral over R of fn (decaying faster than 1/|x|), adaptively.
 
-    Gauss-Kronrod on (-R, R) with the distinct breakpoints, plus the two
-    tails mapped to (0, 1] by x = +-R/u, so the decay is integrated exactly
-    instead of truncated, all at quad's default tolerances.  quad takes the
-    real and imaginary parts apart only when fn is complex-valued (as seen
-    at x = R).  Returns (value, tail_error_estimate), the latter the sum of
-    the two tails' estimates.
+    fn maps an array of points to an array of values.  (-R, R) is split at
+    the breakpoints inside it; the tails are mapped by x = +-R e^v onto
+    [0, log(TAIL_END/R)], where |x|^-s decays like e^((1-s) v) with no
+    endpoint singularity (the share (TAIL_END/R)^(1-s) beyond is left out).
+    One level of Gauss-Legendre nodes per piece estimates the integral of
+    |fn|, and _numutil.adaptive_panel bisects each piece until two levels
+    agree within INTEGRAL_RTOL times that, so a cancelling integral is not
+    driven to the depth limit.  That limit is the only bound on the work:
+    fn must not oscillate in the tails (e^(ix)/(1 + x^2) takes some 2e8
+    points).  Returns (value, the two tails' error estimates).
     """
-    from scipy.integrate import quad
-
     breaks = sorted({float(b) for b in breakpoints})
     r = max(10.0, 2.0 * (1.0 + max([abs(b) for b in breaks] or [1.0])))
-    pts = [b for b in breaks if -r < b < r]
-    cplx = bool(np.iscomplexobj(fn(r)))
-    core, _ = quad(fn, -r, r, points=pts or None, limit=400,
-                   complex_func=cplx)
-    up, up_err = quad(lambda u: fn(r / u) * r / u ** 2, 0.0, 1.0,
-                      limit=200, complex_func=cplx)
-    lo, lo_err = quad(lambda u: fn(-r / u) * r / u ** 2, 0.0, 1.0,
-                      limit=200, complex_func=cplx)
-    return core + up + lo, abs(up_err) + abs(lo_err)
+    edges = [-r] + [b for b in breaks if -r < b < r] + [r]
+    pieces = [(fn, p, q) for p, q in zip(edges[:-1], edges[1:])]
+    for sign in (1.0, -1.0):
+        def tail(v, sign=sign):
+            x = r * np.exp(v)
+            return fn(sign * x) * x
+        pieces.append((tail, 0.0, np.log(TAIL_END / r)))
+    wholes, scale = [], 0.0
+    for f, a, b in pieces:
+        h = (b - a) / 2.0
+        vals = f((a + b) / 2.0 + h * GL_NODES)
+        wholes.append(h * np.sum(GL_WEIGHTS * vals))
+        scale += h * np.sum(GL_WEIGHTS * np.abs(vals))
+    tol = INTEGRAL_RTOL * scale / len(pieces)
+    parts = [adaptive_panel(f, a, b, tol, whole)
+             for (f, a, b), whole in zip(pieces, wholes)]
+    return sum(v for v, _ in parts), parts[-2][1] + parts[-1][1]
 
 
 class ClarkField:
@@ -527,12 +515,15 @@ class ClarkField:
             raise ValueError("u must have one coefficient per atom")
 
     def __call__(self, z):
-        """F at one point; at an atom t'_j, where Theta(t'_j) = zeta, the
-        factor (zeta - Theta(z))/(t'_j - z) takes its limit Theta'(t'_j)."""
+        """F at a point or an array, Kahan-summed over the atoms along a last
+        axis; at an atom t'_j, where Theta(t'_j) = zeta, the factor
+        (zeta - Theta(z))/(t'_j - z) takes its limit Theta'(t'_j)."""
         c, m = self.clark, self.model
+        z = np.asarray(z, dtype=complex)[..., None]
         q = difference_quotient(c.zeta - m.theta(z), c.atoms - z, c.atoms,
                                 lambda: m.theta_prime(z))
-        return np.sqrt(np.pi) * kahan_sum(self.u * c.weights * q)
+        terms = self.u * c.weights * q
+        return np.sqrt(np.pi) * kahan_sum(np.moveaxis(terms, -1, 0))
 
     def atom_samples(self):
         """Values at the atoms: F(t'_m) = 2i zeta sqrt(pi) u_m."""
@@ -548,7 +539,7 @@ class ClarkField:
         return float(np.sqrt(np.sum(np.abs(self.u) ** 2 * self.clark.weights)))
 
     def lebesgue_norm(self):
-        val, tail = lebesgue_integral(lambda x: abs(self(x)) ** 2,
+        val, tail = lebesgue_integral(lambda x: cabs(self(x)) ** 2,
                                       self.clark.atoms)
         return float(np.sqrt(val.real)), tail
 

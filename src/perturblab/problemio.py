@@ -155,7 +155,7 @@ class RunManifest:
     def to_dict(self):
         return {
             "command": self.command,
-            "parameters": jsonable(self.parameters),
+            "parameters": self.parameters,      # canonical_dumps converts
             "input_hash": self.input_hash,
             "seed": int(self.seed),
             "tool_version": self.tool_version,

@@ -316,6 +316,31 @@ class TestMoreDiagnose:
                                "integral")
         assert doc["result"]["convergent"] is True
 
+    def test_integral_and_clark_need_no_scipy_integrate(self, tmp_path):
+        # in a fresh interpreter: the one quadrature routine is the
+        # Gauss-Legendre panel bisection, so scipy.integrate stays unloaded
+        import os
+        import subprocess
+        import sys
+
+        import perturblab
+        path = tmp_path / "six_atom.json"
+        path.write_text(SIX_ATOM)
+        script = (
+            "import sys\n"
+            "from perturblab.cli import main\n"
+            f"out, p = {str(tmp_path / 'out')!r}, {str(path)!r}\n"
+            "codes = [main(['--quiet', '--out', out] + argv) for argv in (\n"
+            "    ['diagnose', 'integral', p, '--n', '2', '--tau', '1',\n"
+            "     '--eta', '1'],\n"
+            "    ['clark', p, '--zeta=0,1'])]\n"
+            "print(codes, 'scipy.integrate' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(perturblab.__file__))
+        res = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert res.stdout == "[0, 0] False\n", res.stderr
+
     def test_integral_real_zero_is_numerical_failure(self, tmp_path,
                                                      problem_file):
         assert main(["--quiet", "--out", str(tmp_path / "out"), "diagnose",

@@ -8,12 +8,12 @@ from perturblab.errors import (BadParameters, DivergentNearRealZero,
 from perturblab.model import BATCH_ELEMENTS, build_model
 from perturblab.engine import build_matrix, eigensystem, phi_zeros
 from perturblab.diagnostics import (SynthesisDefect, WindowReport,
-                                    _adaptive_panel, _phi_poles,
-                                    enumerate_partitions, growth_profile,
-                                    integral_test, macaev_check, mass_detect,
+                                    _phi_poles, enumerate_partitions,
+                                    growth_profile, integral_test,
+                                    macaev_check, mass_detect,
                                     synthesis_defect, volterra_window_check)
 from perturblab.gallery import sharp_instance
-from perturblab._numutil import matched_max_distance
+from perturblab._numutil import adaptive_panel, matched_max_distance
 
 from conftest import make_data, random_instance, separated_instance
 
@@ -134,15 +134,20 @@ class TestIntegral:
         assert growth_profile(m).exact_exponent == 0
 
     def test_twelve_atoms_pinned(self):
-        # the values of the former copy of the quadrature, bit for bit
+        # the values of the Gauss-Legendre panels, bit for bit, each within
+        # 1e-10 of perfbench/references.py's integral (scipy quad in
+        # x = tan(s), epsrel 1e-11); the former quad-based value of the
+        # first case missed it by 2.5e-10
         m = build_model(separated_instance(
             np.random.Generator(np.random.Philox(12)), 12))
-        rep = integral_test(m, 2.0, 1.0, 1.0)
-        assert (rep.value, rep.tail_estimate) == (0.9868464231288417,
-                                                  1.665952972582461e-16)
-        rep = integral_test(m, 1.5, 2.0, 0.5)
-        assert (rep.value, rep.tail_estimate) == (0.9651083925188582,
-                                                  1.0364085749337004e-08)
+        for case, pinned, reference in (
+                ((2.0, 1.0, 1.0), (0.9868464233768878, 1.223578530162861e-13),
+                 0.9868464233764916),
+                ((1.5, 2.0, 0.5), (0.9651083926175029, 3.180962437898671e-13),
+                 0.9651083926046483)):
+            rep = integral_test(m, *case)
+            assert (rep.value, rep.tail_estimate) == pinned
+            assert abs(rep.value - reference) <= 1e-10
 
 
 class TestMacaev:
@@ -366,7 +371,7 @@ class TestWindow:
             sizes.append(z.size)
             return 1.0 / (z - z0)
 
-        val, _ = _adaptive_panel(fn, -1.0 + 0j, 1.0 + 0j, 1e-8)
+        val, _ = adaptive_panel(fn, -1.0 + 0j, 1.0 + 0j, 1e-8)
         assert sizes[0] == 192 and len(sizes) > 5
         assert set(sizes[1:]) == {128}
         assert sum(sizes) < 192 * len(sizes)

@@ -6,6 +6,8 @@ zero free constant phi(z) = i(2-z)/(i + z(1-i)); for the two-atom instance
 beta(z) = (z^2-2z-1)/(z^2-1) with zeros 1 +- sqrt(2).
 """
 
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
@@ -158,24 +160,50 @@ def sample_points(rng, t, k):
     ])
 
 
+def nearest_pole(rep, z):
+    """Index of the pole of rep closest to the point z, by argmin."""
+    return int(np.argmin(np.abs(rep.poles - z)))
+
+
+def regular_part(rep, j, z):
+    """F(z) - w_j/(t_j - z) at one point: the compensated scalar loop over
+    the other poles in ascending-|t| order."""
+    idx = rep._order[rep._order != j]
+    tm, wm = rep.poles[idx], rep.residues[idx]
+    head = rep.constant - rep.residues[j] / rep.poles[j]
+    return head + kahan_sum(wm * (1.0 / (tm - z) - 1.0 / tm))
+
+
+def derivative_regular_part(rep, j, z):
+    """The derivative of regular_part at one point, by the same loop."""
+    idx = rep._order[rep._order != j]
+    tm, wm = rep.poles[idx], rep.residues[idx]
+    return kahan_sum(wm / (tm - z) ** 2)
+
+
 class TestRegularParts:
-    """The batched regular parts against the scalar ones, point by point.
+    """The batched regular parts against the scalar loops, point by point.
 
     Both sum the same terms in the same order, so they agree bit for bit
-    (a fortiori within a few ulps of the sum of |terms|).
+    (a fortiori within a few ulps of the sum of |terms|), in a batch of
+    many points and in a batch of one.
     """
 
     @staticmethod
     def check(rep, zs):
         js = rep.nearest_poles(zs)
-        assert js.tolist() == [rep.nearest_pole(z) for z in zs]
+        assert js.tolist() == [nearest_pole(rep, z) for z in zs]
         b, bp = rep.regular_parts(js, zs)
         assert np.all(np.isfinite(b)) and np.all(np.isfinite(bp))
-        scalar = np.array([rep.regular_part(j, z) for j, z in zip(js, zs)])
-        dscalar = np.array([rep.derivative_regular_part(j, z)
+        scalar = np.array([regular_part(rep, j, z) for j, z in zip(js, zs)])
+        dscalar = np.array([derivative_regular_part(rep, j, z)
                             for j, z in zip(js, zs)])
         assert b.tobytes() == scalar.tobytes()
         assert bp.tobytes() == dscalar.tobytes()
+        ones = [rep.regular_parts(rep.nearest_poles(z), z) for z in zs]
+        assert all(type(v) is np.complex128 for pair in ones for v in pair)
+        assert np.array(ones).T.tobytes() == np.array([scalar,
+                                                       dscalar]).tobytes()
 
     @pytest.mark.parametrize("n", [1, 7, 60])
     def test_random_guard_and_atom_points(self, rng, n):
@@ -241,6 +269,18 @@ class TestArrayForms:
                             for z in off])
             assert rep(off).tobytes() == ref.tobytes()
             assert np.array([rep(z) for z in off]).tobytes() == ref.tobytes()
+
+    def test_clark_field_and_kernels(self, rng):
+        m = build_model(random_instance(rng, 7))
+        zs = sample_points(rng, m.t, 9)
+        cm = clark_measure(m, np.exp(0.4j))
+        zs = np.concatenate([zs, cm.atoms])         # the limit at the atoms
+        F = clark_transform(cm, m, rng.normal(size=7) + 1j)
+        lam = 0.3 + 0.8j
+        for fn in (F, lambda z: kernel_k(m, lam, z),
+                   lambda z: kernel_k_tilde(m, lam, z)):
+            one = np.array([fn(z) for z in zs])
+            assert fn(zs).tobytes() == one.tobytes()
 
     def test_shape_is_kept(self, rng):
         m = build_model(random_instance(rng, 7))
@@ -414,6 +454,28 @@ class TestKernels:
             * kernel_k(m, w, z)
         assert debranges_kernel(pair, w, z) == pytest.approx(transported,
                                                              rel=1e-11)
+
+
+class TestLebesgueIntegral:
+    @pytest.mark.parametrize("a", [1.0, 0.75, 0.55])
+    def test_closed_form(self, a):
+        # integral of (1 + x^2)^-a is B(1/2, a - 1/2); the tails decay like
+        # |x|^-2a, here |x|^-2, |x|^-1.5 and |x|^-1.1
+        exact = math.sqrt(math.pi) * math.gamma(a - 0.5) / math.gamma(a)
+        val, _ = lebesgue_integral(lambda x: (1.0 + x * x) ** -a, (0.0,))
+        assert abs(val - exact) <= 1e-12 * exact
+
+    def test_odd_integrand_vanishes(self):
+        # the tolerance follows the integral of |fn|, not the zero integral
+        # of fn, so no panel is bisected down to the depth limit
+        points = []
+
+        def fn(x):
+            points.append(x.size)
+            assert sum(points) <= 1280
+            return x / (1.0 + x * x) / (1.0 + x * x)
+
+        assert lebesgue_integral(fn)[0] == 0.0
 
 
 class TestClarkTransform:
