@@ -51,35 +51,88 @@ def difference_quotient(num, diff, scale, limit):
     return (np.where(near, limit(), q) if np.any(near) else q)[()]
 
 
+#: elements per block (terms x points) of a batched evaluation: each
+#: temporary of a block stays within 64 KB per transform summed, whatever
+#: the batch size (larger blocks were no faster and raised the peak
+#: resident set by megabytes)
+BATCH_ELEMENTS = 4096
+#: most points gauss_legendre passes to fn in one call: at 4096 a
+#: (2, points) complex temporary outgrows 128 KB and a call gets slower
+PANEL_POINTS = BATCH_ELEMENTS // 4
+#: bisection depth at which adaptive_panel accepts a panel as it is
+MAX_DEPTH = 24
+
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-def adaptive_panel(fn, a, b, tol, whole=None, depth=0):
+def gauss_legendre(fn, panels):
+    """The 64-point Gauss-Legendre integral of fn over each (a, b) panel.
+
+    fn maps an array of points to an array of values; the nodes of whole
+    panels go through it in calls of at most PANEL_POINTS points.  Returns
+    the integrals and fn's values at the nodes, one row per panel.
+    """
+    half_widths = [(b - a) / 2.0 for a, b in panels]
+    calls = -(-len(panels) * GL_NODES.size // PANEL_POINTS)
+    vals = []
+    for part in np.array_split(np.arange(len(panels)), calls):
+        points = np.concatenate([(panels[k][0] + panels[k][1]) / 2.0
+                                 + half_widths[k] * GL_NODES for k in part])
+        vals.extend(fn(points).reshape(part.size, GL_NODES.size))
+    return [h * np.sum(GL_WEIGHTS * v)
+            for h, v in zip(half_widths, vals)], vals
+
+
+def adaptive_panel(fn, panels, tol, wholes=None):
     """64-point panels, bisected until two levels agree within tol.
 
     Resolves spikes, such as those of phi'/phi from zeros sitting just off
-    a window edge, which a fixed panel count can step over.  fn maps an
-    array of points to an array of values.  The nodes of the
-    panel (unless its integral comes in as whole, computed by the parent)
-    and of its two halves go through one call: 192 points at the top and
-    128 in each recursion.
+    a window edge, which a fixed panel count can step over.  Each (a, b) of
+    panels is integrated with the tolerance tol, halved at each bisection;
+    wholes, when given, are their 64-point integrals, computed by the
+    caller.  The refinement runs level by level: the nodes of every panel
+    still open at a level (the panel, unless its integral is known, and
+    its two halves: 192 points at the top and 128 below) go through
+    gauss_legendre together.  A panel is accepted when its halves agree
+    with it within its tolerance, at depth MAX_DEPTH or when their sum is
+    not finite; the sums then run up the bisection tree, each parent the
+    sum of its two children.  Returns one (value, error estimate) per panel.
     """
-    mid = (a + b) / 2.0
-    pieces = ((a, mid), (mid, b)) if whole is not None else \
-        ((a, b), (a, mid), (mid, b))
-    half_widths = [(q - p) / 2.0 for p, q in pieces]
-    vals = fn(np.concatenate([(p + q) / 2.0 + h * GL_NODES
-                              for (p, q), h in zip(pieces, half_widths)]))
-    sums = [h * np.sum(GL_WEIGHTS * v)
-            for h, v in zip(half_widths, np.split(vals, len(pieces)))]
-    whole = sums[0] if whole is None else whole
-    left, right = sums[-2:]
-    split = left + right
-    if abs(whole - split) <= tol or depth >= 24 or not np.isfinite(split):
-        return split, abs(whole - split)
-    left, le = adaptive_panel(fn, a, mid, tol / 2.0, left, depth + 1)
-    right, re_ = adaptive_panel(fn, mid, b, tol / 2.0, right, depth + 1)
-    return left + right, le + re_
+    # a panel of a level is (a, b, whole or None, node); results[node] is
+    # its (value, error) or, once bisected, the node number of its left half
+    results = [None] * len(panels)
+    level = [(a, b, None if wholes is None else wholes[node], node)
+             for node, (a, b) in enumerate(panels)]
+    depth = 0
+    while level:
+        pieces = []
+        for a, b, whole, _ in level:
+            mid = (a + b) / 2.0
+            if whole is None:
+                pieces.append((a, b))
+            pieces += [(a, mid), (mid, b)]
+        sums = iter(gauss_legendre(fn, pieces)[0])
+        bisected = []
+        for a, b, whole, node in level:
+            whole = next(sums) if whole is None else whole
+            left, right = next(sums), next(sums)
+            split = left + right
+            err = abs(whole - split)
+            if err <= tol or depth >= MAX_DEPTH or not np.isfinite(split):
+                results[node] = (split, err)
+                continue
+            mid = (a + b) / 2.0
+            results[node] = len(results)
+            bisected += [(a, mid, left, len(results)),
+                         (mid, b, right, len(results) + 1)]
+            results += [None, None]
+        level, tol, depth = bisected, tol / 2.0, depth + 1
+    # halves come after their panel: sum the tree from the leaves up
+    for node in range(len(results) - 1, -1, -1):
+        if isinstance(results[node], int):
+            (lv, le), (rv, re_) = results[results[node]:results[node] + 2]
+            results[node] = (lv + rv, le + re_)
+    return results[:len(panels)]
 
 
 def sum_by_abs_pole(poles, terms):
@@ -137,19 +190,16 @@ def cluster_points(points, radius):
     """
     pts = sorted(np.asarray(points, dtype=complex).ravel(),
                  key=lambda z: (z.real, z.imag))
-    centers = []
+    centers = np.empty(len(pts), dtype=complex)
     members = []
     for z in pts:
-        placed = False
-        for i, c in enumerate(centers):
-            if abs(z - c) <= radius:
-                members[i].append(z)
-                centers[i] = np.mean(members[i])
-                placed = True
-                break
-        if not placed:
-            centers.append(z)
+        hits = np.flatnonzero(cabs(z - centers[:len(members)]) <= radius)
+        if hits.size:
+            cluster = members[hits[0]]
+            cluster.append(z)
+            centers[hits[0]] = np.mean(cluster)
+        else:
+            centers[len(members)] = z
             members.append([z])
     mults = [len(m) for m in members]
-    return np.asarray(centers), np.asarray(mults, dtype=int)
-
+    return centers[:len(members)], np.asarray(mults, dtype=int)

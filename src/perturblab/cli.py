@@ -256,8 +256,11 @@ def clark_cmd(cfg, problem, zeta):
     if not isinstance(data, RankOneData):
         raise InvalidProblem("clark measures need rank-one data")
     m = build_model(data)
-    cm = clark_measure(m, _parse_complex(zeta))
-    manifest = problemio.make_manifest("clark", {"zeta": zeta}, text, cfg.seed)
+    z = _parse_complex(zeta)
+    cm = clark_measure(m, z)
+    # the parsed value keys the artifact: '-1,0' and '-1.0,0.0' share one
+    manifest = problemio.make_manifest(
+        "clark", {"zeta": problemio.complex_to_pair(z)}, text, cfg.seed)
     cfg.emit(manifest, "clark", {
         "zeta": problemio.complex_to_pair(cm.zeta),
         "atoms": list(cm.atoms),
@@ -349,9 +352,11 @@ def macaev_cmd(cfg, problem, picture):
 @click.pass_obj
 def mass_cmd(cfg, problem, zeta):
     text, data, m = _model_for(problem)
-    rep = diag.mass_detect(m, _parse_complex(zeta))
-    manifest = problemio.make_manifest("diagnose-mass", {"zeta": zeta},
-                                       text, cfg.seed)
+    z = _parse_complex(zeta)
+    rep = diag.mass_detect(m, z)
+    manifest = problemio.make_manifest(
+        "diagnose-mass", {"zeta": problemio.complex_to_pair(z)}, text,
+        cfg.seed)
     cfg.emit(manifest, "mass", {
         "zeta": problemio.complex_to_pair(rep.zeta),
         "p_est": rep.p_est,
@@ -405,7 +410,7 @@ def volterra_cmd(cfg, problem, rect):
     text, data, m = _model_for(problem)
     rep = diag.volterra_window_check(m, vals)
     manifest = problemio.make_manifest("diagnose-volterra-window",
-                                       {"rect": rect}, text, cfg.seed)
+                                       {"rect": list(vals)}, text, cfg.seed)
     cfg.emit(manifest, "volterra_window", {
         "count": rep.count,
         "winding_value": rep.winding_value,
@@ -438,7 +443,7 @@ def _params_manifest(command, params, cfg):
 def sharp_cmd(cfg, eps, alpha1, alpha2, n_terms, rect):
     vals = _parse_rect(rect) if rect else None
     params = {"eps": eps, "alpha1": alpha1, "alpha2": alpha2, "n": n_terms,
-              "rect": rect or ""}
+              "rect": list(vals) if rect else ""}
     inst = gal.sharp_instance(eps, alpha1, alpha2, n_terms)
     manifest = _params_manifest("gallery-sharp", params, cfg)
     payload = {

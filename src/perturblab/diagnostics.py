@@ -320,9 +320,8 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
     tol = 0.05 * 2.0 * np.pi
     for _ in range(max_refine):
         total, err = 0.0 + 0.0j, 0.0
-        for a, b in panels:
-            val, e = adaptive_panel(model.log_derivative_phi, a, b,
-                                    tol / max(len(panels), 1))
+        for val, e in adaptive_panel(model.log_derivative_phi, panels,
+                                     tol / max(len(panels), 1)):
             total += val
             err += e
         winding = (total / (2j * np.pi)).real

@@ -21,9 +21,14 @@ algebra and remain stable arbitrarily close to (and at) the atoms, where the
 pole of beta cancels against the zero of 1 + Theta.
 
 Each evaluator takes one point or an array; either goes through one batched
-kernel, regular_parts, which Kahan-sums the terms in ascending-|t| order
-along all points at once, so a point gives the same value bit for bit alone
-or in an array (complex products go through _numutil.cmul).
+kernel, _partial_fraction_sums, which Kahan-sums the terms in ascending-|t|
+order along all points at once, so a point gives the same value bit for bit
+alone or in an array (complex products go through _numutil.cmul).  The
+kernel sums every transform an evaluator needs (beta and rho, or beta* and
+rho) in one pass, forming t - z and 1/(t - z) - 1/t once for all of them,
+and sums the derivatives w/(t - z)^2 only for theta_prime and
+log_derivative_phi.  Where |z| is so large (about 1e308) that a product with
+u overflows, the quotients are taken with numerator and denominator over u.
 
 The free real constant delta in rho defaults to sum_n nu_n / t_n, which makes
 rho(z) = sum_n nu_n/(t_n - z) = B/A exactly, so Theta coincides with E*/E for
@@ -38,15 +43,14 @@ import numpy as np
 from .errors import (AdmissibilityError, BadParameters, DegenerateZeta,
                      EvaluationAtPole, MassPresent)
 from .data import EQUALITY_RTOL, RankOneData, validate, classify_real_type
-from ._numutil import (GL_NODES, GL_WEIGHTS, adaptive_panel, cabs, cmul,
-                       difference_quotient, kahan_sum, sum_by_abs_pole)
+from ._numutil import (BATCH_ELEMENTS, GL_WEIGHTS, adaptive_panel, cabs,
+                       cmul, difference_quotient, gauss_legendre, kahan_sum,
+                       sum_by_abs_pole)
 
 #: relative pole guard distance: 1e-8 * (1 + |t_n|)
 POLE_GUARD = 1e-8
-#: elements per block (rows x points) of a batched evaluation: each
-#: temporary of a block stays within 64 KB, whatever the batch size (larger
-#: blocks were no faster and raised the peak resident set by megabytes)
-BATCH_ELEMENTS = 4096
+#: beyond this |t - z|, (t - z)^2 overflows
+SQRT_MAX = np.sqrt(np.finfo(float).max)
 #: lebesgue_integral's tolerance, relative to the integral of |fn|
 INTEGRAL_RTOL = 1e-10
 #: where lebesgue_integral's tails end: the evaluators stay finite there
@@ -97,7 +101,8 @@ class CauchyRepresentation:
         if np.any(inside):
             raise EvaluationAtPole(f"z={zs[inside][0]} within guard of a pole")
         n = self.poles.size
-        return self.constant + self._sums(zs, n, n)[0]
+        return self.constant + _partial_fraction_sums((self,), zs, n, n,
+                                                      False)[0]
 
     def nearest_poles(self, zs):
         """Index of the pole nearest each point of zs, in blocks of
@@ -120,38 +125,93 @@ class CauchyRepresentation:
         """
         js = np.asarray(js, dtype=int)
         zs = np.asarray(zs, dtype=complex)
-        t, w = self.poles, self.residues
-        sums = self._sums(zs, self._rank[js], t.size - 1)
-        head = self.constant - w[js] / t[js]
-        return head + sums[0], sums[1]
+        return tuple(_regular_sums((self,), js, zs, derivatives=True))
 
-    def _sums(self, zs, own, n_rows):
-        """Sums of w (1/(t - z) - 1/t) and of w/(t - z)^2 at the points zs.
 
-        Row i < n_rows at point k takes the pole of ascending-|t| rank
-        i + (i >= own[k]): n_rows = N - 1 leaves out rank own[k], and
-        own = n_rows = N keeps all.  The rows are Kahan-summed along all
-        points at once, in blocks of at most BATCH_ELEMENTS // points rows,
-        so the memory in use stays bounded at any atom and point count.
-        """
-        t, w = self.poles, self.residues
-        flat, own = zs.ravel(), np.ravel(own)
-        step = max(1, BATCH_ELEMENTS // max(flat.size, 1))
+def _regular_sums(reps, js, zs, derivatives):
+    """Regular parts at the poles js of the transforms reps (sharing their
+    poles): every value, then, with derivatives, every derivative, each of
+    zs's shape, all out of one pass of _partial_fraction_sums."""
+    t = reps[0].poles
+    sums = _partial_fraction_sums(reps, zs, reps[0]._rank[js], t.size - 1,
+                                  derivatives)
+    heads = [rep.constant - rep.residues[js] / t[js] for rep in reps]
+    return [head + s for head, s in zip(heads, sums)] + list(sums[len(reps):])
 
-        def rows():
-            for i in range(0, n_rows, step):
-                ranks = np.arange(i, min(i + step, n_rows))[:, None]
-                idx = self._order[ranks + (ranks >= own)]
-                tm, wm = t[idx], w[idx]
-                d = tm - flat
-                # bound to a name, so numpy cannot multiply into this
-                # temporary in place: its in-place complex multiply rounds
-                # differently from the out-of-place one of regular_part
-                diff = 1.0 / d - 1.0 / tm
-                yield from np.stack((wm * diff, wm / d ** 2), axis=1)
 
-        sums = np.broadcast_to(kahan_sum(rows()), (2,) + flat.shape)
-        return sums.reshape((2,) + zs.shape)
+def _partial_fraction_sums(reps, zs, own, n_rows, derivatives):
+    """Kahan sums of w (1/(t - z) - 1/t) and, with derivatives, of
+    w/(t - z)^2 at the points zs, for the residues w of each of the k
+    transforms reps, which share their poles t.
+
+    Term i < n_rows at point p takes the pole of ascending-|t| rank
+    i + (i >= own[p]): n_rows = N - 1 leaves out rank own[p], and
+    own = n_rows = N keeps all.  Per block of at most
+    BATCH_ELEMENTS // points terms, t - z, 1/(t - z) - 1/t and (t - z)^2
+    are formed once for all k transforms, the products are written into one
+    preallocated block, and each term is Kahan-added along all points and
+    sums at once, so the memory in use stays bounded at any atom and point
+    count.  Returns the k sums (then the k derivative sums) as a
+    (k or 2k,) + zs.shape array.
+    """
+    flat, own = zs.ravel(), np.ravel(own)
+    order = reps[0]._order
+    t = reps[0].poles[order]
+    residues = np.stack([rep.residues[order] for rep in reps])
+    k = len(reps)
+    rows = 2 * k if derivatives else k
+    step = max(1, BATCH_ELEMENTS // max(flat.size, 1))
+    far = derivatives and (np.max(np.abs(t), initial=0.0)
+                           + np.max(np.abs(flat), initial=0.0) > SQRT_MAX)
+    block = np.empty((min(step, n_rows), rows, flat.size), dtype=complex)
+    total = np.zeros((rows, flat.size), dtype=complex)
+    carry, spare = np.zeros_like(total), np.empty_like(total)
+    for i in range(0, n_rows, step):
+        ranks = np.arange(i, min(i + step, n_rows))[:, None]
+        idx = ranks + (ranks >= own)
+        tm, wm = np.take(t, idx), np.take(residues, idx, axis=1)
+        d = tm - flat
+        diff = 1.0 / d - 1.0 / tm
+        if far:
+            with np.errstate(over="ignore", invalid="ignore"):
+                dsq = d ** 2
+            # where (t - z)^2 overflows, w/(t - z)^2 underflows: make it 0
+            dsq[~np.isfinite(dsq)] = np.inf
+        elif derivatives:
+            dsq = d ** 2
+        terms = block[:ranks.shape[0]]
+        for r in range(k):
+            # into the block, never onto an operand (numpy's in-place complex
+            # multiply rounds unlike its out-of-place one), and transform by
+            # transform (a (1, 1, 1) product rounds unlike a (1, 1) one)
+            np.multiply(wm[r], diff, out=terms[:, r])
+            if derivatives:
+                np.divide(wm[r], dsq, out=terms[:, k + r])
+        for v in terms:
+            np.add(v, carry, out=v)
+            np.add(total, v, out=spare)
+            np.subtract(spare, total, out=total)
+            np.subtract(v, total, out=carry)
+            total, spare = spare, total
+    return total.reshape((rows,) + zs.shape)
+
+
+def _regrouped(plain, scaled):
+    """The quotient of the (numerator, denominator) pair plain() returns;
+    where it is not finite (a product with u = t_j - z overflowed), that of
+    scaled(), the same pair divided by a power of u.
+
+    scaled() runs only when some point needs it, and only those points take
+    its value, so the others keep plain()'s bits.
+    """
+    with np.errstate(all="ignore"):
+        num, den = plain()
+        q = num / den
+        bad = ~np.isfinite(q)
+        if np.any(bad):
+            num, den = scaled()
+            q = np.where(bad, num / den, q)
+    return q[()]
 
 
 class ModelPair:
@@ -218,25 +278,32 @@ class ModelPair:
 
     def _split(self, z, *reps, derivatives=False):
         """Nearest atom j, u = t_j - z, the regular parts at t_j of reps and,
-        with derivatives, those of their derivatives: one batch through
-        regular_parts, whether z is a point or an array."""
+        with derivatives, those of their derivatives: one pass of
+        _partial_fraction_sums, whether z is a point or an array."""
         z = np.asarray(z, dtype=complex)
         j = self.beta.nearest_poles(z)
-        pairs = [rep.regular_parts(j, z) for rep in reps]
-        parts = [r for r, _ in pairs] + [rp for _, rp in pairs if derivatives]
-        return (j, self.t[j] - z, *parts)
+        return (j, self.t[j] - z, *_regular_sums(reps, j, z, derivatives))
 
     def _den(self, j, u, r):
         """u (i + rho(z)) = i u + nu_j + u R, R the regular part of rho."""
         return 1j * u + self.nu[j] + cmul(u, r)
 
+    def _den_over_u(self, j, u, r):
+        """i + rho(z) = i + nu_j/u + R: _den/u, for |u| where _den overflows."""
+        return 1j + self.nu[j] / u + r
+
     def theta(self, z):
         j, u, r = self._split(z, self.rho)
-        return (1j * u - self.nu[j] - cmul(u, r)) / self._den(j, u, r)
+        return _regrouped(
+            lambda: (1j * u - self.nu[j] - cmul(u, r), self._den(j, u, r)),
+            lambda: (1j - self.nu[j] / u - r, self._den_over_u(j, u, r)))
 
     def _phi(self, beta, z):
         j, u, b, r = self._split(z, beta, self.rho)
-        return 1j * (beta.residues[j] + cmul(u, b)) / self._den(j, u, r)
+        w = beta.residues[j]
+        return _regrouped(
+            lambda: (1j * (w + cmul(u, b)), self._den(j, u, r)),
+            lambda: (1j * (w / u + b), self._den_over_u(j, u, r)))
 
     def phi(self, z):
         return self._phi(self.beta, z)
@@ -247,7 +314,8 @@ class ModelPair:
 
     def one_plus_theta(self, z):
         j, u, r = self._split(z, self.rho)
-        return 2j * u / self._den(j, u, r)
+        return _regrouped(lambda: (2j * u, self._den(j, u, r)),
+                          lambda: (2j, self._den_over_u(j, u, r)))
 
     def theta_prime(self, z):
         """Theta'(z) = -2i rho'(z) / (i + rho(z))^2, atom-stable.
@@ -255,17 +323,28 @@ class ModelPair:
         At an atom this reduces to -2i/nu_n.
         """
         j, u, r, rp = self._split(z, self.rho, derivatives=True)
-        den = self._den(j, u, r)
-        return -2j * (self.nu[j] + cmul(cmul(u, u), rp)) / cmul(den, den)
+
+        def square(den):
+            return cmul(den, den)
+
+        return _regrouped(
+            lambda: (-2j * (self.nu[j] + cmul(cmul(u, u), rp)),
+                     square(self._den(j, u, r))),
+            lambda: (-2j * (self.nu[j] / u / u + rp),
+                     square(self._den_over_u(j, u, r))))
 
     def log_derivative_phi(self, z):
         """phi'(z)/phi(z) = beta'/beta - rho'/(i + rho), atom-stable."""
         j, u, b, r, bp, rp = self._split(z, self.beta, self.rho,
                                          derivatives=True)
+        w = self.beta.residues[j]
         # d/dz of (w_j + u b) and (i u + nu_j + u r) with du/dz = -1
-        num = self.beta.residues[j] + cmul(u, b)
-        return ((cmul(u, bp) - b) / num
-                - (cmul(u, rp) - r - 1j) / self._den(j, u, r))
+        return (_regrouped(lambda: (cmul(u, bp) - b, w + cmul(u, b)),
+                           lambda: (bp - b / u, w / u + b))
+                - _regrouped(lambda: (cmul(u, rp) - r - 1j,
+                                      self._den(j, u, r)),
+                             lambda: (rp - (r + 1j) / u,
+                                      self._den_over_u(j, u, r))))
 
     def phi_prime(self, z):
         return cmul(self.phi(z), self.log_derivative_phi(z))
@@ -478,21 +557,22 @@ def lebesgue_integral(fn, breakpoints=()):
     breaks = sorted({float(b) for b in breakpoints})
     r = max(10.0, 2.0 * (1.0 + max([abs(b) for b in breaks] or [1.0])))
     edges = [-r] + [b for b in breaks if -r < b < r] + [r]
-    pieces = [(fn, p, q) for p, q in zip(edges[:-1], edges[1:])]
+    groups = [(fn, list(zip(edges[:-1], edges[1:])))]
     for sign in (1.0, -1.0):
         def tail(v, sign=sign):
             x = r * np.exp(v)
             return fn(sign * x) * x
-        pieces.append((tail, 0.0, np.log(TAIL_END / r)))
-    wholes, scale = [], 0.0
-    for f, a, b in pieces:
-        h = (b - a) / 2.0
-        vals = f((a + b) / 2.0 + h * GL_NODES)
-        wholes.append(h * np.sum(GL_WEIGHTS * vals))
-        scale += h * np.sum(GL_WEIGHTS * np.abs(vals))
-    tol = INTEGRAL_RTOL * scale / len(pieces)
-    parts = [adaptive_panel(f, a, b, tol, whole)
-             for (f, a, b), whole in zip(pieces, wholes)]
+        groups.append((tail, [(0.0, np.log(TAIL_END / r))]))
+    wholes, scale, n_pieces = [], 0.0, 0
+    for f, panels in groups:
+        sums, vals = gauss_legendre(f, panels)
+        wholes.append(sums)
+        for (a, b), v in zip(panels, vals):
+            scale += (b - a) / 2.0 * np.sum(GL_WEIGHTS * np.abs(v))
+        n_pieces += len(panels)
+    tol = INTEGRAL_RTOL * scale / n_pieces
+    parts = [part for (f, panels), w in zip(groups, wholes)
+             for part in adaptive_panel(f, panels, tol, w)]
     return sum(v for v, _ in parts), parts[-2][1] + parts[-1][1]
 
 

@@ -157,6 +157,17 @@ class TestArtifacts:
         assert lines[0] == "re_z,im_z,re_F,im_F"
         assert len(lines) == 5  # header + 1 point + 3 grid rows
 
+    @pytest.mark.parametrize("z", ["1e308,0", "-1e308,0", "0,1e308"])
+    def test_model_eval_far_out_is_finite(self, tmp_path, z):
+        # phi has the finite limit beta(inf)(1 + Theta(inf))/2 there
+        path = tmp_path / "six_atom.json"
+        path.write_text(SIX_ATOM)
+        assert main(["--quiet", "--out", str(tmp_path / "out"), "model",
+                     "eval", str(path), f"--z={z}"]) == 0
+        (csv,) = (tmp_path / "out" / "model-eval").glob("*/eval_phi.csv")
+        row = csv.read_text().strip().splitlines()[1].split(",")
+        assert np.all(np.isfinite([float(v) for v in row]))
+
     def test_clark_json(self, tmp_path, problem_file):
         code = main(["--quiet", "--out", str(tmp_path / "out"), "clark",
                      str(problem_file), "--zeta", "-1,0"])
@@ -214,9 +225,30 @@ class TestArtifactKeys:
                          str(problem_file), f"--zeta={zeta}"]) == 0
         hits = sorted((tmp_path / "out" / "clark").glob("*/clark.json"))
         assert len(hits) == 2
-        zetas = {json.loads(h.read_text())["manifest"]["parameters"]["zeta"]
-                 for h in hits}
-        assert zetas == {"-1,0", "0,1"}
+        zetas = {tuple(json.loads(h.read_text())["manifest"]["parameters"]
+                       ["zeta"]) for h in hits}
+        assert zetas == {(-1.0, 0.0), (0.0, 1.0)}
+
+    @pytest.mark.parametrize("command, name, spellings", [
+        (["clark", "{problem}"], "clark", ["--zeta=-1,0", "--zeta=-1.0,0.0"]),
+        (["diagnose", "mass", "{problem}"], "mass",
+         ["--zeta=0,1", "--zeta=0.0,1.00"]),
+        (["diagnose", "volterra-window", "{problem}"], "volterra_window",
+         ["--rect=0.5,3,0,1", "--rect=0.50,3.0,0.0,1e0"]),
+        (["gallery", "sharp", "--eps", "1", "--n", "20"], "sharp",
+         ["--rect=0.1,20,0,5", "--rect=.1,20.0,0,5.0"]),
+    ])
+    def test_spellings_of_one_value_share_a_directory(
+            self, tmp_path, problem_file, command, name, spellings):
+        # the manifest keeps the parsed option, not the text typed
+        argv = [str(problem_file) if a == "{problem}" else a for a in command]
+        written = []
+        for spelling in spellings:
+            assert main(["--quiet", "--out", str(tmp_path / "out")] + argv
+                        + [spelling]) == 0
+            (path,) = (tmp_path / "out").glob(f"*/*/{name}.json")
+            written.append((path, path.read_bytes()))
+        assert written[0] == written[1]
 
     def test_spectrum_routes_and_seeds_leave_own_directories(self, tmp_path,
                                                              problem_file):

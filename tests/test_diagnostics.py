@@ -13,7 +13,9 @@ from perturblab.diagnostics import (SynthesisDefect, WindowReport,
                                     macaev_check, mass_detect,
                                     synthesis_defect, volterra_window_check)
 from perturblab.gallery import sharp_instance
-from perturblab._numutil import adaptive_panel, matched_max_distance
+from perturblab._numutil import (GL_NODES, GL_WEIGHTS, PANEL_POINTS,
+                                 adaptive_panel, gauss_legendre,
+                                 matched_max_distance)
 
 from conftest import make_data, random_instance, separated_instance
 
@@ -362,20 +364,64 @@ class TestWindow:
                          0.00753374924573953, 0)
 
     def test_bisection_evaluates_only_the_halves(self):
-        # a recursion gets its panel's integral from the parent and
-        # evaluates the 128 nodes of its two halves, not 192
+        # one call per refinement level: the 192 nodes of the panel and its
+        # two halves, then the 128 nodes of the halves of each bisected
+        # panel, whose integral the level above computed
         z0 = 0.3 + 1e-3j
-        sizes = []
+        calls = []
 
         def fn(z):
-            sizes.append(z.size)
+            calls.append(z)
             return 1.0 / (z - z0)
 
-        val, _ = adaptive_panel(fn, -1.0 + 0j, 1.0 + 0j, 1e-8)
+        ((val, _),) = adaptive_panel(fn, [(-1.0 + 0j, 1.0 + 0j)], 1e-8)
+        sizes = [z.size for z in calls]
         assert sizes[0] == 192 and len(sizes) > 5
-        assert set(sizes[1:]) == {128}
-        assert sum(sizes) < 192 * len(sizes)
+        assert all(n % 128 == 0 and n <= PANEL_POINTS for n in sizes[1:])
+        # the 64-node groups of a call all span panels of one width, which
+        # halves from each call to the next: the calls are the levels
+        widths = [np.ptp(z.reshape(-1, 64).real, axis=1) for z in calls]
+        assert np.allclose(widths[0], [widths[0][0], widths[0][0] / 2,
+                                       widths[0][0] / 2])
+        for level, w in enumerate(widths[1:], 1):
+            assert np.allclose(w, widths[0][0] / 2 ** (level + 1))
         assert abs(val - (np.log(1.0 - z0) - np.log(-1.0 - z0))) <= 1e-8
+
+    def test_levels_match_the_recursion(self):
+        # several panels, some bisecting deep around the spikes, against the
+        # depth-first recursion the level-by-level refinement replaced
+        def fn(z):
+            return 1.0 / (z - 0.3 - 0.051j) + 2.0 / (z + 0.71 - 0.0501j)
+
+        def recursion(a, b, tol, whole=None, depth=0):
+            mid = (a + b) / 2.0
+            pieces = ((a, mid), (mid, b)) if whole is not None else \
+                ((a, b), (a, mid), (mid, b))
+            half_widths = [(q - p) / 2.0 for p, q in pieces]
+            vals = fn(np.concatenate([(p + q) / 2.0 + h * GL_NODES
+                                      for (p, q), h in zip(pieces,
+                                                           half_widths)]))
+            sums = [h * np.sum(GL_WEIGHTS * v)
+                    for h, v in zip(half_widths,
+                                    np.split(vals, len(pieces)))]
+            whole = sums[0] if whole is None else whole
+            left, right = sums[-2:]
+            split = left + right
+            if abs(whole - split) <= tol or depth >= 24 \
+                    or not np.isfinite(split):
+                return split, abs(whole - split)
+            left, le = recursion(a, mid, tol / 2.0, left, depth + 1)
+            right, re_ = recursion(mid, b, tol / 2.0, right, depth + 1)
+            return left + right, le + re_
+
+        edges = np.linspace(-1.0, 1.0, 6) + 0.05j
+        panels = list(zip(edges[:-1], edges[1:])) + [(1.0 + 0.05j, 1.0 + 1j)]
+        tol = 1e-9
+        assert adaptive_panel(fn, panels, tol) == \
+            [recursion(a, b, tol) for a, b in panels]
+        wholes = gauss_legendre(fn, panels)[0]
+        assert adaptive_panel(fn, panels, tol, wholes) == \
+            [recursion(a, b, tol, w) for (a, b), w in zip(panels, wholes)]
 
     def test_below_axis_counts_every_zero(self):
         # 60 eigenvalues of the oracle and 59 poles of phi lie inside

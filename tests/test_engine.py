@@ -12,7 +12,8 @@ from perturblab.engine import (MatrixRealization, _aberth_refine,
                                generating_function, kappa_shift,
                                oracle_spectrum, phi_zeros, root_chain,
                                shifted_data, weighted_adjoint)
-from perturblab._numutil import kahan_sum, matched_max_distance
+from perturblab._numutil import (cluster_points, kahan_sum,
+                                 matched_max_distance)
 
 from conftest import (beta_numerators, make_data, random_instance,
                       separated_instance)
@@ -162,6 +163,38 @@ class TestPhiZeros:
         second, _ = enumerate_partitions(eigensystem(data), budget=100)
         assert first.partition == second.partition
         assert first.sigma_min == pytest.approx(second.sigma_min, rel=1e-9)
+
+
+def cluster_loop(points, radius):
+    """Greedy clustering with a Python scan over the centers: the first
+    center within radius takes the point and moves to its cluster's mean."""
+    pts = sorted(np.asarray(points, dtype=complex).ravel(),
+                 key=lambda z: (z.real, z.imag))
+    centers, members = [], []
+    for z in pts:
+        for i, c in enumerate(centers):
+            if abs(z - c) <= radius:
+                members[i].append(z)
+                centers[i] = np.mean(members[i])
+                break
+        else:
+            centers.append(z)
+            members.append([z])
+    return np.asarray(centers), np.asarray([len(m) for m in members])
+
+
+class TestClusterPoints:
+    @pytest.mark.parametrize("n", [1, 6, 305])
+    def test_equal_to_the_center_loop(self, rng, n):
+        # near-duplicates, so clusters form, merge centers and move them
+        base = rng.uniform(-20.0, 20.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+        points = np.concatenate([base, base[: n // 3 + 1] + 1e-9 * (
+            rng.normal(size=n // 3 + 1) + 1j * rng.normal(size=n // 3 + 1))])
+        for radius in (1e-7, 0.5):
+            centers, mults = cluster_points(points, radius)
+            ref_centers, ref_mults = cluster_loop(points, radius)
+            assert centers.tobytes() == ref_centers.tobytes()
+            assert mults.tolist() == ref_mults.tolist()
 
 
 @pytest.fixture(scope="class")

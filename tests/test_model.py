@@ -18,7 +18,7 @@ from perturblab.model import (build_debranges, build_model, canonical_delta,
                               discrete_inner, kernel_k, kernel_k_tilde,
                               lebesgue_integral)
 from perturblab.engine import kappa_shift
-from perturblab._numutil import kahan_sum
+from perturblab._numutil import cmul, kahan_sum
 
 from conftest import beta_numerators, random_instance, separated_instance
 
@@ -230,18 +230,26 @@ class TestRegularParts:
 
     def test_memory_is_bounded(self, rng):
         # gathered into (atoms - 1) x points arrays, 500 atoms x 4096
-        # points took well over 100 MB
+        # points took well over 100 MB; a window check holds every node of
+        # a refinement level at once, here 128 panels (the bottom edge on
+        # the axis is split at each of the 60 atoms)
         import tracemalloc
+
+        from perturblab.diagnostics import volterra_window_check
 
         m = build_model(separated_instance(rng, 500))
         zs = rng.uniform(-25.0, 25.0, 4096) + 1j * rng.uniform(-3.0, 3.0, 4096)
-        tracemalloc.start()
-        try:
-            m.log_derivative_phi(zs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+        m60 = build_model(separated_instance(rng, 60))
+        for run in (lambda: m.log_derivative_phi(zs),
+                    lambda: volterra_window_check(m60, (-21.0, 21.0, 0.0,
+                                                        2.0))):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8e6
 
 
 class TestArrayForms:
@@ -296,6 +304,70 @@ class TestArrayForms:
             with pytest.raises(EvaluationAtPole):
                 rep(zs)
             rep(np.delete(zs, 2))
+
+
+def unfused(m, name, zs):
+    """The evaluator name of m at zs from per-transform regular parts: one
+    CauchyRepresentation.regular_parts call for each of beta, rho and
+    beta*, then the regrouped formula."""
+    j = m.beta.nearest_poles(zs)
+    u = m.t[j] - zs
+    nu = m.nu[j]
+    r, rp = m.rho.regular_parts(j, zs)
+    den = 1j * u + nu + cmul(u, r)
+    if name == "theta":
+        return (1j * u - nu - cmul(u, r)) / den
+    if name == "one_plus_theta":
+        return 2j * u / den
+    if name == "theta_prime":
+        return -2j * (nu + cmul(cmul(u, u), rp)) / cmul(den, den)
+    beta = m._beta_star if name == "phi_tilde" else m.beta
+    b, bp = beta.regular_parts(j, zs)
+    num = beta.residues[j] + cmul(u, b)
+    if name == "log_derivative_phi":
+        return (cmul(u, bp) - b) / num - (cmul(u, rp) - r - 1j) / den
+    return 1j * num / den
+
+
+class TestFusedKernel:
+    """One pass of _partial_fraction_sums over beta, rho (and beta*) against
+    one regular_parts call per transform: the same terms in the same order,
+    so every evaluator agrees bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 7, 60, 500])
+    def test_bitwise_equal_to_unfused(self, rng, n):
+        data = random_instance(rng, n) if n < 60 else \
+            separated_instance(rng, n)
+        m = build_model(data)
+        zs = sample_points(rng, m.t, 40)    # with guard points and atoms
+        for name in TestArrayForms.FUNCTIONS:
+            fused = getattr(m, name)(zs)
+            assert np.all(np.isfinite(fused)), name
+            assert fused.tobytes() == unfused(m, name, zs).tobytes(), name
+
+
+class TestOverflow:
+    """At |z| = 1e308 the regrouped products with u = t_j - z overflow;
+    there the quotients are taken with numerator and denominator over u."""
+
+    POINTS = (1e308, -1e308, 1e308j)
+
+    def test_limits_at_infinity(self):
+        m = build_model(separated_instance(
+            np.random.Generator(np.random.Philox(7)), 6))
+        beta_inf = m.beta.constant - np.sum(m.beta.residues / m.t)
+        one_plus = 1.0 + m.theta_infinity
+        for z in self.POINTS:
+            assert abs(m.phi(z) - beta_inf * one_plus / 2.0) <= \
+                1e-12 * abs(beta_inf * one_plus / 2.0)
+            assert abs(m.one_plus_theta(z) - one_plus) <= 1e-12 * abs(one_plus)
+            assert np.isfinite(m.log_derivative_phi(z))
+            assert np.isfinite(m.theta_prime(z))
+        zs = np.array(self.POINTS + (0.5 + 1j,))
+        # an array takes the limit only where it must
+        assert m.phi(zs)[-1] == m.phi(0.5 + 1j)
+        assert m.phi(zs)[:3].tobytes() == np.array(
+            [m.phi(z) for z in self.POINTS]).tobytes()
 
 
 class TestDeBranges:
