@@ -71,12 +71,14 @@ def gauss_legendre(fn, panels):
     fn maps an array of points to an array of values; the nodes of whole
     panels go through it in calls of at most PANEL_POINTS points.  Returns
     the integrals and fn's values at the nodes, one row per panel.
+    Midpoints and half-widths halve each end first, which is exact, so
+    they stay finite for ends near the largest float.
     """
-    half_widths = [(b - a) / 2.0 for a, b in panels]
+    half_widths = [b / 2.0 - a / 2.0 for a, b in panels]
     calls = -(-len(panels) * GL_NODES.size // PANEL_POINTS)
     vals = []
     for part in np.array_split(np.arange(len(panels)), calls):
-        points = np.concatenate([(panels[k][0] + panels[k][1]) / 2.0
+        points = np.concatenate([panels[k][0] / 2.0 + panels[k][1] / 2.0
                                  + half_widths[k] * GL_NODES for k in part])
         vals.extend(fn(points).reshape(part.size, GL_NODES.size))
     return [h * np.sum(GL_WEIGHTS * v)
@@ -107,7 +109,7 @@ def adaptive_panel(fn, panels, tol, wholes=None):
     while level:
         pieces = []
         for a, b, whole, _ in level:
-            mid = (a + b) / 2.0
+            mid = a / 2.0 + b / 2.0
             if whole is None:
                 pieces.append((a, b))
             pieces += [(a, mid), (mid, b)]
@@ -121,7 +123,7 @@ def adaptive_panel(fn, panels, tol, wholes=None):
             if err <= tol or depth >= MAX_DEPTH or not np.isfinite(split):
                 results[node] = (split, err)
                 continue
-            mid = (a + b) / 2.0
+            mid = a / 2.0 + b / 2.0
             results[node] = len(results)
             bisected += [(a, mid, left, len(results)),
                          (mid, b, right, len(results) + 1)]

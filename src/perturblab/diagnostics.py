@@ -258,7 +258,8 @@ def _phi_poles(model: ModelPair):
     t, nu, rho = model.t, model.nu, model.rho
     r = rho.regular_parts(np.arange(t.size), t)[0].real
     seeds = t + nu * (r - 1j) / (r * r + 1.0)
-    return _aberth_refine(CauchyRepresentation(t, nu, 1j + model.delta), seeds)
+    return _aberth_refine(CauchyRepresentation(t, nu, 1j + model.delta),
+                          seeds)[0]
 
 
 @dataclass(frozen=True)
@@ -311,8 +312,10 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
         panels = []
         for p, q in zip(pts[:-1], pts[1:]):
             for k in range(splits_per_seg):
-                panels.append((p + (q - p) * k / splits_per_seg,
-                               p + (q - p) * (k + 1) / splits_per_seg))
+                # k/splits first: (q - p) k may overflow where the panel
+                # ends do not
+                panels.append((p + (q - p) * (k / splits_per_seg),
+                               p + (q - p) * ((k + 1) / splits_per_seg)))
         return panels
 
     panels = [pan for a, b in zip(corners, corners[1:] + corners[:1])

@@ -41,6 +41,9 @@ JORDAN_RANK_RTOL = 1e-7
 CLUSTER_RTOL = 1e-6
 #: most Aberth iterations of one refinement
 ABERTH_ITERATIONS = 120
+#: most Aberth iterations phi_zeros spends on its first-order seeds before
+#: it falls back to the eigensolve seeds
+FIRST_ORDER_ITERATIONS = 24
 
 
 def _columns(data):
@@ -201,6 +204,8 @@ class PhiZeros:
     upper: np.ndarray               # zeros of phi with Im > 0
     real: np.ndarray
     lower: np.ndarray               # conjugates of the phi_tilde zeros
+    seeding: str                    # "first_order", "eigensolve" or "none"
+    aberth_iterations: int          # of the refinement that was kept
 
 
 def _sum_inverse_differences(zs, points, skip):
@@ -219,7 +224,8 @@ def _sum_inverse_differences(zs, points, skip):
     return sums
 
 
-def _aberth_refine(rep: CauchyRepresentation, roots):
+def _aberth_refine(rep: CauchyRepresentation, roots,
+                   budget=ABERTH_ITERATIONS):
     """Simultaneous refinement of the zeros of a Cauchy transform.
 
     F(z) = c + sum_n w_n/(t_n - z) with c = F(infinity) != 0 has exactly
@@ -236,7 +242,10 @@ def _aberth_refine(rep: CauchyRepresentation, roots):
     iterate, through (roots x poles) and (roots x roots) arrays, and the
     regular parts R, R' through rep.regular_parts.  An iterate that
     coincides with an earlier one is nudged aside; iterates whose
-    correction is not finite stay put.
+    correction is not finite stay put.  The refinement stops after the
+    first step with max|step| < 1e-14 max(1, max|t|), or after budget
+    steps.  Returns the roots, the steps taken and whether that stop rule
+    fired (False when the budget ran out first).
     """
     roots = np.array(roots, dtype=complex)
     rows = np.arange(roots.size)
@@ -244,7 +253,7 @@ def _aberth_refine(rep: CauchyRepresentation, roots):
     scale = max(1.0, float(np.max(np.abs(t))))
     nudge = -1e-8 * scale * (1.0 + 1.0j)
     with np.errstate(all="ignore"):
-        for _ in range(ABERTH_ITERATIONS):
+        for iterations in range(1, budget + 1):
             js = rep.nearest_poles(roots)
             u = t[js] - roots
             r, rp = rep.regular_parts(js, roots)
@@ -257,8 +266,8 @@ def _aberth_refine(rep: CauchyRepresentation, roots):
             steps = np.where(collided, nudge, np.where(ok, step, 0.0))
             roots = roots - steps
             if np.max(np.abs(steps)) < 1e-14 * scale:
-                break
-    return roots
+                return roots, iterations, True
+    return roots, budget, False
 
 
 def _beta_infinity(beta: CauchyRepresentation):
@@ -275,29 +284,48 @@ def phi_zeros(model: ModelPair):
     """Zeros of the generating function, classified by half-plane.
 
     The zeros of beta(z) = c + sum_n w_n/(t_n - z), with c = beta(infinity),
-    are the eigenvalues of the diagonal-plus-rank-one matrix
-    diag(t) + (w/c) 1^T, since det(D + u v^T) = det(D)(1 + v^T D^{-1} u)
-    (the secular linearization of Bini & Robol, MPSolve 3, JCAM 2014).
-    Those eigenvalues seed an Aberth refinement against the stable
-    evaluator, which keeps the model route anchored to phi itself rather
-    than to a second dense eigensolve.  This multiset is the full model
-    spectrum: zeros of phi in the closed upper half-plane together with the
+    are N in number, and to first order the one near atom n sits at
+    t_n + w_n/R_n, R_n the regular part of beta at t_n (the start MPSolve's
+    secular solver takes; Bini & Robol, JCAM 2014).  All N starts cost one
+    regular_parts call, O(N^2), and an Aberth refinement against the
+    stable evaluator polishes them within FIRST_ORDER_ITERATIONS steps.
+    That result is kept only when the refinement met its stop rule within
+    the budget, every start and every root is finite and no two roots are
+    equal.  Otherwise (zeros far from the atoms, as on the zero-free sharp
+    instances, or a start at infinity where R_n = 0) the starts are the
+    eigenvalues of the diagonal-plus-rank-one matrix diag(t) + (w/c) 1^T,
+    since det(D + u v^T) = det(D)(1 + v^T D^{-1} u), refined with up to
+    ABERTH_ITERATIONS steps: an O(N^3) eigensolve that costs as much as
+    the oracle.  The gate is no certificate of the roots.  seeding names
+    the start that was kept.  This multiset is the full model spectrum:
+    zeros of phi in the closed upper half-plane together with the
     conjugated zeros of phi_tilde from the lower one.  Every returned array
     is in np.sort_complex order, so indices into it do not depend on the
-    order in which the eigensolver returns its eigenvalues.
+    order in which the starts or the eigensolver's eigenvalues come.
     """
-    t, w = model.t, model.beta.residues
-    c = _beta_infinity(model.beta)
-    mat = np.outer(w / c, np.ones(t.size))
-    mat[np.diag_indices(t.size)] += t
-    roots = np.sort_complex(_aberth_refine(model.beta, np.linalg.eigvals(mat)))
+    beta, t = model.beta, model.t
+    w = beta.residues
+    c = _beta_infinity(beta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        seeds = t + w / beta.regular_parts(np.arange(t.size), t)[0]
+    roots, iterations, stopped = _aberth_refine(beta, seeds,
+                                                FIRST_ORDER_ITERATIONS)
+    roots, seeding = np.sort_complex(roots), "first_order"
+    if not (stopped and np.all(np.isfinite(seeds))
+            and np.all(np.isfinite(roots))
+            and np.all(roots[1:] != roots[:-1])):
+        mat = np.outer(w / c, np.ones(t.size))
+        mat[np.diag_indices(t.size)] += t
+        roots, iterations, _ = _aberth_refine(beta, np.linalg.eigvals(mat))
+        roots, seeding = np.sort_complex(roots), "eigensolve"
     scale = max(1.0, float(np.max(np.abs(roots))))
     centers, mults = cluster_points(roots, CLUSTER_RTOL * scale)
     im_tol = 1e-9 * scale
     upper = roots[roots.imag > im_tol]
     real = roots[np.abs(roots.imag) <= im_tol]
     lower = roots[roots.imag < -im_tol]
-    return PhiZeros(roots, centers, mults, upper, real, lower)
+    return PhiZeros(roots, centers, mults, upper, real, lower, seeding,
+                    iterations)
 
 
 @dataclass(frozen=True)
@@ -325,7 +353,7 @@ def compute_spectrum(data, route="auto", model=None):
     if model is None:
         empty = np.array([], dtype=complex)
         zeros = PhiZeros(empty, empty, np.array([], dtype=int),
-                         empty, empty, empty)
+                         empty, empty, empty, "none", 0)
         return SpectrumResult(oracle.eigenvalues, empty, float("nan"),
                               float("nan"), oracle, zeros, oracle.jordan,
                               M.route)

@@ -105,15 +105,28 @@ class CauchyRepresentation:
                                                       False)[0]
 
     def nearest_poles(self, zs):
-        """Index of the pole nearest each point of zs, in blocks of
-        BATCH_ELEMENTS."""
+        """Index of the pole nearest each point of zs, ties to the lower.
+
+        The poles are sorted reals, so |t_m - z| falls up to the poles
+        next to Re z and rises after them: those two decide.  Where the
+        pole left of the winner lies at the same rounded distance (|Im z|
+        so large that the distances round alike) or z is not finite, an
+        argmin over all poles, in blocks of BATCH_ELEMENTS, decides.
+        """
         zs = np.asarray(zs, dtype=complex)
         flat = zs.ravel()
-        js = np.empty(flat.shape, dtype=int)
-        step = max(1, BATCH_ELEMENTS // self.poles.size)
-        for k in range(0, flat.size, step):
-            js[k:k + step] = np.argmin(
-                np.abs(self.poles - flat[k:k + step, None]), axis=1)
+        t = self.poles
+        right = np.minimum(np.searchsorted(t, flat.real), t.size - 1)
+        left = np.maximum(right - 1, 0)
+        d_left, d_right = np.abs(t[left] - flat), np.abs(t[right] - flat)
+        js = np.where(d_right < d_left, right, left)
+        tied = np.abs(t[np.maximum(js - 1, 0)] - flat) == np.minimum(d_left,
+                                                                     d_right)
+        slow = np.flatnonzero(((js > 0) & tied) | ~np.isfinite(flat))
+        step = max(1, BATCH_ELEMENTS // t.size)
+        for k in range(0, slow.size, step):
+            part = slow[k:k + step]
+            js[part] = np.argmin(np.abs(t - flat[part, None]), axis=1)
         return js.reshape(zs.shape)
 
     def regular_parts(self, js, zs):

@@ -92,6 +92,24 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "BadParameters" in proc.stderr
 
+    def test_window_edge_at_the_largest_floats(self, tmp_path, capsys):
+        # the panel ends and their midpoints stay finite out to 1e308, so
+        # phi'/phi is never evaluated at infinity; the winding integral of
+        # that edge does not settle near an integer, a numerical failure
+        import warnings
+
+        path = tmp_path / "six_atom.json"
+        path.write_text(SIX_ATOM)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--quiet", "--out", str(tmp_path / "out"),
+                         "diagnose", "volterra-window", str(path),
+                         "--rect=-30,1e308,0,1"])
+        assert code == 4
+        assert "ContourTooClose: winding integral" in capsys.readouterr().err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("argv, error", [
         (["model", "eval", "{problem}", "--z", "a,b"], "BadParameters"),
         (["clark", "{problem}", "--zeta=x,0"], "BadParameters"),
@@ -480,7 +498,7 @@ class TestFuzz:
         return len(values) <= 2 and not np.all(np.isfinite(values))
 
     @given(case=cases)
-    @example(case=("rect", "-30,1e308,0,1"))   # phi'/phi overflows to nan
+    @example(case=("rect", "-30,1e308,0,1"))   # panel ends near 1e308
     @example(case=("zeta", "nan,0"))           # passed the unimodular check
     @example(case=("z", "1,inf"))
     @example(case=("partition", "0,2|1,3,4,5,6,7"))    # index 6 of 6 atoms

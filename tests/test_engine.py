@@ -7,11 +7,13 @@ from perturblab.data import Atom, DiscreteSpectralData, RankNData
 from perturblab.errors import AdmissibilityError, OrderTooHigh
 from perturblab.model import build_model, kernel_k
 from perturblab.engine import (MatrixRealization, _aberth_refine,
-                               adjoint_data, adjoint_residual, build_matrix,
+                               _beta_infinity, adjoint_data,
+                               adjoint_residual, build_matrix,
                                compute_spectrum, eigensystem, gauge_check,
                                generating_function, kappa_shift,
                                oracle_spectrum, phi_zeros, root_chain,
                                shifted_data, weighted_adjoint)
+from perturblab.gallery import sharp_instance
 from perturblab._numutil import (cluster_points, kahan_sum,
                                  matched_max_distance)
 
@@ -204,22 +206,51 @@ def separated_200():
     return data, eigs, max(1.0, float(np.max(np.abs(eigs))))
 
 
+def no_eigensolve(monkeypatch):
+    """Make np.linalg.eigvals, the secular seed's eigensolve, raise."""
+    def refuse(a):
+        raise AssertionError("phi_zeros ran a dense eigensolve")
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+
+
 class TestLargeTruncation:
     """Separated atoms on [-20, 20], where a monomial basis of the beta
-    numerator underflows from a few hundred atoms on."""
+    numerator underflows from a few hundred atoms on.  The first-order
+    starts of phi_zeros converge there, so no dense seed runs."""
 
-    def test_model_route_matches_oracle(self, separated_200):
+    def test_model_route_matches_oracle(self, separated_200, monkeypatch):
         data, eigs, scale = separated_200
+        no_eigensolve(monkeypatch)
         zeros = phi_zeros(build_model(data))
+        assert zeros.seeding == "first_order"
         assert matched_max_distance(eigs, zeros.zeros) <= 1e-10 * scale
 
     @pytest.mark.parametrize("n", [400, 800])
-    def test_model_route_matches_oracle_beyond_200(self, n):
+    def test_model_route_matches_oracle_beyond_200(self, n, monkeypatch):
         data = separated_instance(np.random.Generator(np.random.Philox(n)), n)
         eigs = oracle_spectrum(build_matrix(data)).eigenvalues
         scale = max(1.0, float(np.max(np.abs(eigs))))
+        no_eigensolve(monkeypatch)
         zeros = phi_zeros(build_model(data))
+        assert zeros.seeding == "first_order"
         assert matched_max_distance(eigs, zeros.zeros) <= 1e-10 * scale
+
+    def test_2048_atoms_without_the_oracle(self, monkeypatch):
+        # the power sums of the zeros are the traces of the secular matrix
+        # diag(t) + u 1^T, u = w/c: no eigensolve of any kind is involved
+        data = separated_instance(
+            np.random.Generator(np.random.Philox(2048)), 2048)
+        m = build_model(data)
+        no_eigensolve(monkeypatch)
+        zeros = phi_zeros(m)
+        z = zeros.zeros
+        assert zeros.seeding == "first_order"
+        assert z.size == 2048 and np.all(z[1:] != z[:-1])
+        t, u = m.t, m.beta.residues / _beta_infinity(m.beta)
+        assert abs(np.sum(z) - (np.sum(t) + np.sum(u))) <= 1e-14 * np.sum(
+            np.abs(z))
+        trace2 = np.sum(t * t) + 2.0 * np.sum(t * u) + np.sum(u) ** 2
+        assert abs(np.sum(z * z) - trace2) <= 1e-14 * np.sum(np.abs(z) ** 2)
 
     def test_repeat_is_bitwise_equal(self, separated_200):
         data, _, _ = separated_200
@@ -231,8 +262,47 @@ class TestLargeTruncation:
         data, eigs, scale = separated_200
         seeds = eigs.copy()
         seeds[1] = seeds[0]
-        roots = _aberth_refine(build_model(data).beta, seeds)
+        roots, _, stopped = _aberth_refine(build_model(data).beta, seeds)
+        assert stopped
         assert matched_max_distance(eigs, roots) <= 1e-10 * scale
+
+
+class TestSeeding:
+    def test_sharp_instance_falls_back_to_the_eigensolve(self):
+        # its zeros leave the atoms, so the first-order starts never settle;
+        # the fallback is the secular eigensolve and the full refinement
+        m = build_model(sharp_instance(1.0, 0.0, 0.0, 120).data)
+        zeros = phi_zeros(m)
+        assert zeros.seeding == "eigensolve"
+        t, w = m.t, m.beta.residues
+        mat = np.outer(w / _beta_infinity(m.beta), np.ones(t.size))
+        mat[np.diag_indices(t.size)] += t
+        roots, iterations, _ = _aberth_refine(m.beta, np.linalg.eigvals(mat))
+        assert zeros.zeros.tobytes() == np.sort_complex(roots).tobytes()
+        assert zeros.aberth_iterations == iterations
+
+    def test_vanishing_a_n_keeps_its_atom(self):
+        # a_n = 0 takes the atom t_n out of the perturbation: t_n is then
+        # an eigenvalue, and its first-order start is t_n itself
+        data = separated_instance(np.random.Generator(np.random.Philox(7)),
+                                  30)
+        a = data.a.copy()
+        a[11] = 0.0
+        data = make_data(data.t, data.mu, a, data.b, data.kappa)
+        zeros = phi_zeros(build_model(data))
+        assert zeros.seeding == "first_order"
+        assert data.t[11] in zeros.zeros
+        eigs = oracle_spectrum(build_matrix(data)).eigenvalues
+        assert matched_max_distance(eigs, zeros.zeros) <= 1e-10 * max(
+            1.0, float(np.max(np.abs(eigs))))
+
+    def test_budget_reports_when_the_stop_never_fires(self, separated_200):
+        data, eigs, _ = separated_200
+        beta = build_model(data).beta
+        _, iterations, stopped = _aberth_refine(beta, data.t + 0.5j, 2)
+        assert (iterations, stopped) == (2, False)
+        _, iterations, stopped = _aberth_refine(beta, eigs)
+        assert stopped and 1 <= iterations <= 2
 
 
 class TestEigensystem:

@@ -13,8 +13,9 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from perturblab.errors import DegenerateZeta, EvaluationAtPole
-from perturblab.model import (build_debranges, build_model, canonical_delta,
-                              clark_measure, clark_transform, debranges_kernel,
+from perturblab.model import (CauchyRepresentation, build_debranges,
+                              build_model, canonical_delta, clark_measure,
+                              clark_transform, debranges_kernel,
                               discrete_inner, kernel_k, kernel_k_tilde,
                               lebesgue_integral)
 from perturblab.engine import kappa_shift
@@ -179,6 +180,44 @@ def derivative_regular_part(rep, j, z):
     idx = rep._order[rep._order != j]
     tm, wm = rep.poles[idx], rep.residues[idx]
     return kahan_sum(wm / (tm - z) ** 2)
+
+
+def nearest_by_argmin(poles, zs):
+    """Index of the pole nearest each point, by an argmin over all poles
+    (the lower index on a tie)."""
+    zs = np.asarray(zs, dtype=complex)
+    return np.argmin(np.abs(poles - zs.ravel()[:, None]),
+                     axis=1).reshape(zs.shape)
+
+
+class TestNearestPoles:
+    """The two-neighbour search against the argmin over all poles."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 500])
+    @pytest.mark.parametrize("integer_poles", [False, True])
+    def test_equal_to_argmin(self, rng, n, integer_poles):
+        # integer poles make the midpoints exact ties; large |Im z| makes
+        # every distance round alike, and points past the ends have one
+        # neighbour only
+        if integer_poles:
+            t = np.sort(rng.choice(np.r_[-3 * n:0, 1:3 * n + 1], n,
+                                   replace=False)).astype(float)
+        else:
+            t = np.sort(rng.uniform(-20.0, 20.0, n))
+        rep = CauchyRepresentation(t, np.ones(n), 1.0)
+        xs = np.concatenate([t, t[:-1] / 2.0 + t[1:] / 2.0,
+                             [t[0] - 1.0, t[-1] + 1.0, -1e300, 1e300],
+                             rng.uniform(t[0] - 5.0, t[-1] + 5.0, 20)])
+        ys = [0.0, 1e-300, 0.5, -3.0, 1e16, 1e200, -1e200]
+        zs = (xs[:, None] + 1j * np.array(ys)).ravel()
+        zs = np.concatenate([zs, [np.nan, np.inf, complex(0.0, -np.inf),
+                                  complex(np.nan, 1.0)]])
+        assert rep.nearest_poles(zs).tolist() == \
+            nearest_by_argmin(t, zs).tolist()
+        grid = zs[:24].reshape(4, 6)
+        assert rep.nearest_poles(grid).tolist() == \
+            nearest_by_argmin(t, grid).tolist()
+        assert rep.nearest_poles(zs[5]) == nearest_by_argmin(t, zs[5])
 
 
 class TestRegularParts:
