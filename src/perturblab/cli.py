@@ -61,6 +61,14 @@ def _load_problem(path):
     return text, problemio.parse_problem(text)
 
 
+def _load_rank_one(path, what):
+    """_load_problem, refusing rank-n data: what needs rank-one data."""
+    text, data = _load_problem(path)
+    if not isinstance(data, RankOneData):
+        raise InvalidProblem(f"{what} needs rank-one data")
+    return text, data
+
+
 class Settings:
     def __init__(self, tol, out, seed, quiet):
         self.tol = tol
@@ -147,9 +155,7 @@ def model_group():
 @click.pass_obj
 def model_eval(cfg, problem, which, points, real_grid, imag, delta):
     """Emit CSV rows (re z, im z, re F, im F)."""
-    text, data = _load_problem(problem)
-    if not isinstance(data, RankOneData):
-        raise InvalidProblem("model evaluation needs rank-one data")
+    text, data = _load_rank_one(problem, "model eval")
     dl = delta if delta == "auto" else float(delta)
     m = build_model(data, delta=dl)
     zs = [_parse_complex(p) for p in points]
@@ -230,10 +236,7 @@ def spectrum_cmd(cfg, problem, route):
 @click.pass_obj
 def compare_cmd(cfg, problem):
     """Oracle-vs-model residual; exit 3 on mismatch."""
-    text, data = _load_problem(problem)
-    if not isinstance(data, RankOneData):
-        raise InvalidProblem("compare needs rank-one data (no model route "
-                             "for rank-n)")
+    text, data = _load_rank_one(problem, "compare")
     res = compute_spectrum(data)
     tol = _match_tolerance(cfg, res)
     ok = bool(np.isfinite(res.match_residual) and res.match_residual <= tol)
@@ -252,9 +255,7 @@ def compare_cmd(cfg, problem):
 @click.pass_obj
 def clark_cmd(cfg, problem, zeta):
     """Clark measure of the model inner function at unimodular zeta."""
-    text, data = _load_problem(problem)
-    if not isinstance(data, RankOneData):
-        raise InvalidProblem("clark measures need rank-one data")
+    text, data = _load_rank_one(problem, "clark")
     m = build_model(data)
     z = _parse_complex(zeta)
     cm = clark_measure(m, z)
@@ -277,13 +278,6 @@ def diagnose_group():
     """Completeness and synthesis diagnostics."""
 
 
-def _model_for(problem):
-    text, data = _load_problem(problem)
-    if not isinstance(data, RankOneData):
-        raise InvalidProblem("this diagnostic needs rank-one data")
-    return text, data, build_model(data)
-
-
 @diagnose_group.command("growth")
 @click.argument("problem", type=click.Path(exists=True))
 @click.option("--ymax", type=float, default=1e4, show_default=True)
@@ -291,7 +285,8 @@ def _model_for(problem):
 @click.option("--csv/--no-csv", default=False, show_default=True)
 @click.pass_obj
 def growth_cmd(cfg, problem, ymax, npoints, csv):
-    text, data, m = _model_for(problem)
+    text, data = _load_rank_one(problem, "diagnose growth")
+    m = build_model(data)
     gp = diag.growth_profile(m, y_max=ymax, n_points=npoints)
     manifest = problemio.make_manifest(
         "diagnose-growth", {"ymax": ymax, "npoints": npoints}, text, cfg.seed)
@@ -317,7 +312,8 @@ def growth_cmd(cfg, problem, ymax, npoints, csv):
 @click.option("--eta", type=float, default=1.0, show_default=True)
 @click.pass_obj
 def integral_cmd(cfg, problem, n_weight, tau, eta):
-    text, data, m = _model_for(problem)
+    text, data = _load_rank_one(problem, "diagnose integral")
+    m = build_model(data)
     rep = diag.integral_test(m, n_weight, tau, eta)
     manifest = problemio.make_manifest(
         "diagnose-integral", {"n": n_weight, "tau": tau, "eta": eta},
@@ -351,7 +347,8 @@ def macaev_cmd(cfg, problem, picture):
 @click.option("--zeta", default="1,0", show_default=True)
 @click.pass_obj
 def mass_cmd(cfg, problem, zeta):
-    text, data, m = _model_for(problem)
+    text, data = _load_rank_one(problem, "diagnose mass")
+    m = build_model(data)
     z = _parse_complex(zeta)
     rep = diag.mass_detect(m, z)
     manifest = problemio.make_manifest(
@@ -373,9 +370,7 @@ def mass_cmd(cfg, problem, zeta):
 @click.option("--budget", type=int, default=10000, show_default=True)
 @click.pass_obj
 def synthesis_cmd(cfg, problem, partition, budget):
-    text, data = _load_problem(problem)
-    if not isinstance(data, RankOneData):
-        raise InvalidProblem("synthesis diagnostics need rank-one data")
+    text, data = _load_rank_one(problem, "diagnose synthesis")
     es = eigensystem(data)
     manifest = problemio.make_manifest(
         "diagnose-synthesis", {"partition": partition or "",
@@ -407,7 +402,8 @@ def synthesis_cmd(cfg, problem, partition, budget):
 @click.pass_obj
 def volterra_cmd(cfg, problem, rect):
     vals = _parse_rect(rect)
-    text, data, m = _model_for(problem)
+    text, data = _load_rank_one(problem, "diagnose volterra-window")
+    m = build_model(data)
     rep = diag.volterra_window_check(m, vals)
     manifest = problemio.make_manifest("diagnose-volterra-window",
                                        {"rect": list(vals)}, text, cfg.seed)

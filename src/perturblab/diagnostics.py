@@ -18,7 +18,7 @@ from .errors import (BadParameters, ContourTooClose, DivergentNearRealZero,
 from .data import omega_matrix
 from .model import (BATCH_ELEMENTS, CauchyRepresentation, ModelPair,
                     lebesgue_integral)
-from .engine import Eigensystem, _aberth_refine, phi_zeros
+from .engine import Eigensystem, phi_zeros, secular_zeros
 from ._numutil import adaptive_panel, cabs
 
 
@@ -246,20 +246,14 @@ def enumerate_partitions(eigsys: Eigensystem, budget=10000, seed=0):
 # ---------------------------------------------------------------------------
 
 def _phi_poles(model: ModelPair):
-    """Poles of phi: the N zeros of i + rho.
+    """Poles of phi: the N zeros of i + rho, in np.sort_complex order.
 
     i + rho is the Cauchy transform with the poles and weights of rho and
-    the constant i + delta; at infinity it is i + rho(infinity) != 0, so it
-    has exactly N zeros, one below each atom.  To first order that zero
-    sits at t_n + nu_n (R - i)/(R^2 + 1), with R the regular part of rho
-    at t_n, and these seeds start the batched Aberth refinement
-    (engine._aberth_refine) that polishes all N together.
+    the constant i + delta; at infinity it is i + rho(infinity) != 0, so
+    engine.secular_zeros finds all N of them, one below each atom.
     """
-    t, nu, rho = model.t, model.nu, model.rho
-    r = rho.regular_parts(np.arange(t.size), t)[0].real
-    seeds = t + nu * (r - 1j) / (r * r + 1.0)
-    return _aberth_refine(CauchyRepresentation(t, nu, 1j + model.delta),
-                          seeds)[0]
+    return secular_zeros(CauchyRepresentation(model.t, model.nu,
+                                              1j + model.delta))[0]
 
 
 @dataclass(frozen=True)

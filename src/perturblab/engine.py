@@ -41,8 +41,8 @@ JORDAN_RANK_RTOL = 1e-7
 CLUSTER_RTOL = 1e-6
 #: most Aberth iterations of one refinement
 ABERTH_ITERATIONS = 120
-#: most Aberth iterations phi_zeros spends on its first-order seeds before
-#: it falls back to the eigensolve seeds
+#: most Aberth iterations secular_zeros spends on its first-order starts
+#: before it falls back to the eigensolve starts
 FIRST_ORDER_ITERATIONS = 24
 
 
@@ -224,26 +224,32 @@ def _sum_inverse_differences(zs, points, skip):
     return sums
 
 
+def _repeats(zs):
+    """Flag each entry of zs equal to an earlier one: after a stable sort
+    by (real, imag), every equal neighbour after the first."""
+    order = np.lexsort((zs.imag, zs.real))
+    ordered = zs[order]
+    flags = np.zeros(zs.size, dtype=bool)
+    flags[order[1:]] = ordered[1:] == ordered[:-1]
+    return flags
+
+
 def _aberth_refine(rep: CauchyRepresentation, roots,
                    budget=ABERTH_ITERATIONS):
-    """Simultaneous refinement of the zeros of a Cauchy transform.
+    """Simultaneous Aberth-Ehrlich refinement of the zeros of a Cauchy
+    transform F(z) = c + sum_n w_n/(t_n - z), c = F(infinity) != 0.
 
-    F(z) = c + sum_n w_n/(t_n - z) with c = F(infinity) != 0 has exactly
-    N zeros, those of the degree-N numerator F(z) prod_m (t_m - z).
-    Aberth-Ehrlich corrections driven by the partial-fraction
-    log-derivative of that numerator polish all of them without ever
-    forming big polynomial values.  With u = t_j - z for the pole nearest
-    a root z, the numerator factors as (w_j + u R)(prod_{m != j} (t_m - z)),
-    R the regular part of F at t_j, so its logarithmic derivative is
-    (u R' - R)/(w_j + u R) + sum_{m != j} 1/(z - t_m).
-
-    Each iteration is one Jacobi-style step over all roots at once (as in
-    MPSolve, Bini & Robol 2014): every correction comes from the same
-    iterate, through (roots x poles) and (roots x roots) arrays, and the
-    regular parts R, R' through rep.regular_parts.  An iterate that
-    coincides with an earlier one is nudged aside; iterates whose
-    correction is not finite stay put.  The refinement stops after the
-    first step with max|step| < 1e-14 max(1, max|t|), or after budget
+    F has exactly N zeros, those of the degree-N numerator
+    F(z) prod_m (t_m - z).  With u = t_j - z for the pole nearest a root z
+    and R the regular part of F at t_j, that numerator is
+    (w_j + u R) prod_{m != j} (t_m - z), so its logarithmic derivative is
+    (u R' - R)/(w_j + u R) + sum_{m != j} 1/(z - t_m): no polynomial value
+    is ever formed.  Each iteration is one Jacobi-style step over all roots
+    at once (as in MPSolve, Bini & Robol 2014), through (roots x poles) and
+    (roots x roots) sums and one rep.regular_parts call.  An iterate equal
+    to an earlier one is nudged aside; one whose correction is not finite
+    stays put.  The refinement stops after the first step that moves every
+    root z_k by less than 1e-14 max(1, max|t|, |z_k|), or after budget
     steps.  Returns the roots, the steps taken and whether that stop rule
     fired (False when the budget ran out first).
     """
@@ -259,19 +265,21 @@ def _aberth_refine(rep: CauchyRepresentation, roots,
             r, rp = rep.regular_parts(js, roots)
             logd = ((cmul(u, rp) - r) / (rep.residues[js] + cmul(u, r))
                     + _sum_inverse_differences(roots, t, js))
-            collided = np.any(np.tril(roots[:, None] == roots, -1), axis=1)
+            collided = _repeats(roots)
             denom = logd - _sum_inverse_differences(roots, roots, rows)
             step = 1.0 / denom
             ok = (denom != 0) & np.isfinite(denom) & np.isfinite(step)
             steps = np.where(collided, nudge, np.where(ok, step, 0.0))
             roots = roots - steps
-            if np.max(np.abs(steps)) < 1e-14 * scale:
+            if np.all(np.abs(steps)
+                      < 1e-14 * np.maximum(scale, np.abs(roots))):
                 return roots, iterations, True
     return roots, budget, False
 
 
 def _beta_infinity(beta: CauchyRepresentation):
-    """beta(inf) = c0 - sum_n w_n/t_n; zero only for strict=False models."""
+    """F(inf) = c0 - sum_n w_n/t_n of a Cauchy transform F; for beta it is
+    zero only for strict=False models, for i + rho never."""
     t = beta.poles
     c = beta.constant - sum_by_abs_pole(t, beta.residues / t)
     if c == 0:
@@ -280,44 +288,39 @@ def _beta_infinity(beta: CauchyRepresentation):
     return c
 
 
-def phi_zeros(model: ModelPair):
-    """Zeros of the generating function, classified by half-plane.
+def secular_zeros(rep: CauchyRepresentation):
+    """The N zeros of F(z) = c + sum_n w_n/(t_n - z), c = F(infinity) != 0,
+    in np.sort_complex order, the start kept and its refinement's steps.
 
-    The zeros of beta(z) = c + sum_n w_n/(t_n - z), with c = beta(infinity),
-    are N in number, and to first order the one near atom n sits at
-    t_n + w_n/R_n, R_n the regular part of beta at t_n (the start MPSolve's
-    secular solver takes; Bini & Robol, JCAM 2014).  All N starts cost one
-    regular_parts call, O(N^2), and an Aberth refinement against the
-    stable evaluator polishes them within FIRST_ORDER_ITERATIONS steps.
-    That result is kept only when the refinement met its stop rule within
-    the budget, every start and every root is finite and no two roots are
-    equal.  Otherwise (zeros far from the atoms, as on the zero-free sharp
-    instances, or a start at infinity where R_n = 0) the starts are the
-    eigenvalues of the diagonal-plus-rank-one matrix diag(t) + (w/c) 1^T,
-    since det(D + u v^T) = det(D)(1 + v^T D^{-1} u), refined with up to
-    ABERTH_ITERATIONS steps: an O(N^3) eigensolve that costs as much as
-    the oracle.  The gate is no certificate of the roots.  seeding names
-    the start that was kept.  This multiset is the full model spectrum:
-    zeros of phi in the closed upper half-plane together with the
-    conjugated zeros of phi_tilde from the lower one.  Every returned array
-    is in np.sort_complex order, so indices into it do not depend on the
-    order in which the starts or the eigensolver's eigenvalues come.
-    """
-    beta, t = model.beta, model.t
-    w = beta.residues
-    c = _beta_infinity(beta)
+    The first-order starts t_n + w_n/R_n, R_n the regular part of F at t_n
+    (MPSolve's; Bini & Robol, JCAM 2014), cost one regular_parts call and
+    get FIRST_ORDER_ITERATIONS Aberth steps.  They are kept ("first_order")
+    when the stop rule fired and the starts and roots are finite and
+    distinct; otherwise (zeros far from the poles, as on the sharp
+    instances, or R_n = 0) the eigenvalues of diag(t) + (w/c) 1^T, whose
+    determinant is det(diag(t) - z) F(z)/c, start ABERTH_ITERATIONS steps
+    ("eigensolve", O(N^3)).  The gate is no certificate of the roots."""
+    t, w = rep.poles, rep.residues
+    c = _beta_infinity(rep)
     with np.errstate(divide="ignore", invalid="ignore"):
-        seeds = t + w / beta.regular_parts(np.arange(t.size), t)[0]
-    roots, iterations, stopped = _aberth_refine(beta, seeds,
+        seeds = t + w / rep.regular_parts(np.arange(t.size), t)[0]
+    roots, iterations, stopped = _aberth_refine(rep, seeds,
                                                 FIRST_ORDER_ITERATIONS)
-    roots, seeding = np.sort_complex(roots), "first_order"
+    seeding = "first_order"
     if not (stopped and np.all(np.isfinite(seeds))
-            and np.all(np.isfinite(roots))
-            and np.all(roots[1:] != roots[:-1])):
+            and np.all(np.isfinite(roots)) and not np.any(_repeats(roots))):
         mat = np.outer(w / c, np.ones(t.size))
         mat[np.diag_indices(t.size)] += t
-        roots, iterations, _ = _aberth_refine(beta, np.linalg.eigvals(mat))
-        roots, seeding = np.sort_complex(roots), "eigensolve"
+        roots, iterations, _ = _aberth_refine(rep, np.linalg.eigvals(mat))
+        seeding = "eigensolve"
+    return np.sort_complex(roots), seeding, iterations
+
+
+def phi_zeros(model: ModelPair):
+    """The zeros of beta (secular_zeros), classified by half-plane: the
+    zeros of phi in the closed upper half-plane and the conjugated zeros of
+    phi_tilde from the lower one, every array in np.sort_complex order."""
+    roots, seeding, iterations = secular_zeros(model.beta)
     scale = max(1.0, float(np.max(np.abs(roots))))
     centers, mults = cluster_points(roots, CLUSTER_RTOL * scale)
     im_tol = 1e-9 * scale

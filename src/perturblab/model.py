@@ -174,8 +174,8 @@ def _partial_fraction_sums(reps, zs, own, n_rows, derivatives):
     k = len(reps)
     rows = 2 * k if derivatives else k
     step = max(1, BATCH_ELEMENTS // max(flat.size, 1))
-    far = derivatives and (np.max(np.abs(t), initial=0.0)
-                           + np.max(np.abs(flat), initial=0.0) > SQRT_MAX)
+    far = (np.max(np.abs(t), initial=0.0)
+           + np.max(np.abs(flat), initial=0.0) > SQRT_MAX)
     block = np.empty((min(step, n_rows), rows, flat.size), dtype=complex)
     total = np.zeros((rows, flat.size), dtype=complex)
     carry, spare = np.zeros_like(total), np.empty_like(total)
@@ -184,8 +184,14 @@ def _partial_fraction_sums(reps, zs, own, n_rows, derivatives):
         idx = ranks + (ranks >= own)
         tm, wm = np.take(t, idx), np.take(residues, idx, axis=1)
         d = tm - flat
-        diff = 1.0 / d - 1.0 / tm
         if far:
+            # near 1e308 an intermediate of 1/(t - z) overflows, giving 0
+            # for a subnormal value
+            with np.errstate(over="ignore"):
+                diff = 1.0 / d - 1.0 / tm
+        else:
+            diff = 1.0 / d - 1.0 / tm
+        if far and derivatives:
             with np.errstate(over="ignore", invalid="ignore"):
                 dsq = d ** 2
             # where (t - z)^2 overflows, w/(t - z)^2 underflows: make it 0

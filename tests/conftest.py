@@ -113,6 +113,13 @@ def separated_instance(rng, n, lo=-20.0, hi=20.0, kappa_margin=0.25):
             return make_data(t, mu, a, b, kappa)
 
 
+def no_eigensolve(monkeypatch):
+    """Make np.linalg.eigvals, the secular solver's fallback start, raise."""
+    def refuse(a):
+        raise AssertionError("a dense eigensolve ran")
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(20240817))

@@ -356,6 +356,25 @@ class TestRankN:
         assert main(["--quiet", "--out", str(tmp_path / "out"), "compare",
                      str(rank2_file)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["model", "eval", "{problem}", "--z=1,1"],
+        ["compare", "{problem}"],
+        ["clark", "{problem}"],
+        ["diagnose", "growth", "{problem}"],
+        ["diagnose", "integral", "{problem}"],
+        ["diagnose", "mass", "{problem}"],
+        ["diagnose", "synthesis", "{problem}"],
+        ["diagnose", "volterra-window", "{problem}", "--rect=0,1,0,1"],
+    ])
+    def test_rank_one_commands_refuse_rank_two(self, tmp_path, rank2_file,
+                                               capsys, argv):
+        argv = [a.format(problem=rank2_file) for a in argv]
+        assert main(["--quiet", "--out", str(tmp_path / "out")] + argv) == 2
+        err = capsys.readouterr().err
+        assert "InvalidProblem" in err and "rank-one data" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestMoreDiagnose:
     def test_integral(self, tmp_path, problem_file):
@@ -501,6 +520,7 @@ class TestFuzz:
     @example(case=("rect", "-30,1e308,0,1"))   # panel ends near 1e308
     @example(case=("zeta", "nan,0"))           # passed the unimodular check
     @example(case=("z", "1,inf"))
+    @example(case=("z", "1e308,1e308"))     # 1/(t - z) overflows inside
     @example(case=("partition", "0,2|1,3,4,5,6,7"))    # index 6 of 6 atoms
     @settings(max_examples=60, deadline=None)
     def test_exit_code_in_contract(self, six_atom_file, case):

@@ -17,7 +17,8 @@ from perturblab._numutil import (GL_NODES, GL_WEIGHTS, PANEL_POINTS,
                                  adaptive_panel, gauss_legendre,
                                  matched_max_distance)
 
-from conftest import make_data, random_instance, separated_instance
+from conftest import (make_data, no_eigensolve, random_instance,
+                      separated_instance)
 
 
 def eigen_count_below(g, lam):
@@ -471,6 +472,30 @@ class TestPhiPoles:
         for n_terms in (60, 500):
             check_poles(build_model(sharp_instance(1.0, 0.0, 0.0,
                                                    n_terms).data))
+
+    @pytest.mark.parametrize("data", [
+        lambda: separated_instance(np.random.Generator(np.random.Philox(3)),
+                                   100),
+        lambda: sharp_instance(1.0, 0.0, 0.0, 500).data],
+        ids=["separated_100", "sharp_500"])
+    def test_first_order_starts_suffice(self, data, monkeypatch):
+        model = build_model(data())
+        no_eigensolve(monkeypatch)
+        poles = _phi_poles(model)
+        assert poles.size == model.t.size
+        assert poles.tobytes() == np.sort_complex(poles).tobytes()
+        assert np.max(np.abs(1j + model.rho(poles))) <= 1e-10
+
+    def test_poles_far_below_the_atoms_stop_at_first_order(self, monkeypatch):
+        # with b five times larger, the poles below the heaviest atoms lie
+        # far outside the atoms' hull and step at their own rounding level:
+        # each root's stop scales with its modulus, so no eigensolve runs
+        d = separated_instance(np.random.Generator(np.random.Philox(7)), 30)
+        model = build_model(make_data(d.t, d.mu, d.a, 5 * d.b, 5 * d.kappa))
+        with monkeypatch.context() as patch:
+            no_eigensolve(patch)
+            _phi_poles(model)
+        check_poles(model)
 
 
 class TestErrorPaths:

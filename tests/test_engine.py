@@ -7,7 +7,7 @@ from perturblab.data import Atom, DiscreteSpectralData, RankNData
 from perturblab.errors import AdmissibilityError, OrderTooHigh
 from perturblab.model import build_model, kernel_k
 from perturblab.engine import (MatrixRealization, _aberth_refine,
-                               _beta_infinity, adjoint_data,
+                               _beta_infinity, _repeats, adjoint_data,
                                adjoint_residual, build_matrix,
                                compute_spectrum, eigensystem, gauge_check,
                                generating_function, kappa_shift,
@@ -17,8 +17,8 @@ from perturblab.gallery import sharp_instance
 from perturblab._numutil import (cluster_points, kahan_sum,
                                  matched_max_distance)
 
-from conftest import (beta_numerators, make_data, random_instance,
-                      separated_instance)
+from conftest import (beta_numerators, make_data, no_eigensolve,
+                      random_instance, separated_instance)
 
 
 def cubic_discriminant(c):
@@ -206,13 +206,6 @@ def separated_200():
     return data, eigs, max(1.0, float(np.max(np.abs(eigs))))
 
 
-def no_eigensolve(monkeypatch):
-    """Make np.linalg.eigvals, the secular seed's eigensolve, raise."""
-    def refuse(a):
-        raise AssertionError("phi_zeros ran a dense eigensolve")
-    monkeypatch.setattr(np.linalg, "eigvals", refuse)
-
-
 class TestLargeTruncation:
     """Separated atoms on [-20, 20], where a monomial basis of the beta
     numerator underflows from a few hundred atoms on.  The first-order
@@ -265,6 +258,40 @@ class TestLargeTruncation:
         roots, _, stopped = _aberth_refine(build_model(data).beta, seeds)
         assert stopped
         assert matched_max_distance(eigs, roots) <= 1e-10 * scale
+
+
+class TestRepeats:
+    """_repeats flags what the N x N comparison it replaced flagged."""
+
+    @staticmethod
+    def pairwise(z):
+        return np.any(np.tril(z[:, None] == z, -1), axis=1)
+
+    @pytest.mark.parametrize("z", [
+        [],
+        [1 + 2j],
+        [1 + 2j, 3.0, 1 + 2j, 1 + 2j, 3.0, 1 - 2j, 2 + 1j],
+        [complex(np.nan, 0), complex(np.nan, 0), complex(0, np.nan),
+         complex(0, np.nan), complex(np.nan, np.nan), complex(np.nan, np.nan),
+         1.0, 1.0],
+        [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+         complex(-0.0, -0.0), complex(-0.0, 1.0), complex(0.0, 1.0)],
+        [complex(np.inf, 0), complex(np.inf, 0), complex(-np.inf, 0),
+         complex(0, np.inf), complex(0, np.inf), complex(np.inf, np.inf),
+         complex(np.inf, np.inf), complex(np.inf, np.nan),
+         complex(np.inf, np.nan), complex(-np.inf, -np.inf)],
+    ])
+    def test_equal_to_the_pairwise_form(self, z):
+        z = np.array(z, dtype=complex)
+        assert _repeats(z).tolist() == self.pairwise(z).tolist()
+
+    def test_random_draws_from_a_small_pool(self):
+        rng = np.random.Generator(np.random.Philox(11))
+        pool = np.array([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan])
+        for size in (2, 7, 50, 400):
+            z = np.empty(size, dtype=complex)
+            z.real, z.imag = rng.choice(pool, size), rng.choice(pool, size)
+            assert _repeats(z).tolist() == self.pairwise(z).tolist()
 
 
 class TestSeeding:
