@@ -188,20 +188,37 @@ def cluster_points(points, radius):
 
     Points within `radius` of a cluster center are merged; centers are the
     means of their clusters, processed in sorted (re, im) order so the
-    result is deterministic.
+    result is deterministic.  A center lies among its members' real parts
+    (up to the rounding of the mean, covered by a margin), so points whose
+    real parts are more than radius apart never meet: the scan runs only
+    within runs of sorted points whose consecutive real gaps are at most
+    radius, and every other point is its own center.
     """
-    pts = sorted(np.asarray(points, dtype=complex).ravel(),
-                 key=lambda z: (z.real, z.imag))
-    centers = np.empty(len(pts), dtype=complex)
-    members = []
-    for z in pts:
-        hits = np.flatnonzero(cabs(z - centers[:len(members)]) <= radius)
-        if hits.size:
-            cluster = members[hits[0]]
-            cluster.append(z)
-            centers[hits[0]] = np.mean(cluster)
-        else:
-            centers[len(members)] = z
-            members.append([z])
-    mults = [len(m) for m in members]
-    return centers[:len(members)], np.asarray(mults, dtype=int)
+    pts = np.asarray(points, dtype=complex).ravel()
+    pts = pts[np.lexsort((pts.imag, pts.real))]
+    re = pts.real
+    margin = 4.0 * np.finfo(float).eps * pts.size * np.max(
+        np.abs(re[np.isfinite(re)]), initial=0.0)
+    starts = np.flatnonzero(~(np.diff(re, prepend=np.nan)
+                              <= radius + margin))
+    centers, mults = [], []
+    for start, stop in zip(starts, np.append(starts[1:], pts.size)):
+        if stop - start == 1:
+            centers.append(pts[start])
+            mults.append(1)
+            continue
+        run = np.empty(stop - start, dtype=complex)
+        members = []
+        for z in pts[start:stop]:
+            hits = np.flatnonzero(cabs(z - run[:len(members)]) <= radius)
+            if hits.size:
+                cluster = members[hits[0]]
+                cluster.append(z)
+                run[hits[0]] = np.mean(cluster)
+            else:
+                run[len(members)] = z
+                members.append([z])
+        centers.extend(run[:len(members)])
+        mults.extend(len(m) for m in members)
+    return (np.asarray(centers, dtype=complex),
+            np.asarray(mults, dtype=int))

@@ -272,7 +272,12 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
     Argument-principle integral of phi'/phi over the rectangle boundary; a
     bottom edge on the real axis is nudged slightly below it so real zeros
     are enclosed, with the nudge kept clear of the poles of phi in the lower
-    half-plane.  The winding integral is refined by doubling the panel count
+    half-plane.  The poles are solved for only when y1 <= max(cap, 1e-12)
+    + 1e-15, cap = min(1e-3 max(1, x2 - x1), 0.2 y2) being the largest
+    nudge: above that line no pole lies in the window (Im(i + rho) >= 1
+    there) and no edge takes the atoms as panel breakpoints.  The report's
+    nudge is the one applied: 0.0 unless y1 = 0.  The winding integral is
+    refined by doubling the panel count
     until it is within 0.05 of an integer; a certified distance above 0.1,
     or a phi'/phi not finite on the contour, raises ContourTooClose.  A
     degenerate or non-finite rectangle raises BadParameters.
@@ -283,13 +288,19 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
         raise BadParameters(
             f"degenerate rectangle {rectangle}: need x1 < x2 and "
             "max(y1, 0) < y2, all finite")
-    poles = _phi_poles(model)
+    cap = min(1e-3 * max(1.0, x2 - x1), 0.2 * y2) if nudge is None else nudge
+    if y1 > max(cap, 1e-12) + 1e-15:
+        # Im(i + rho) >= 1 on the closed upper half-plane, so no pole of phi
+        # lies there, and no nudge up to cap puts breakpoints on an edge
+        poles, nudge = np.empty(0, dtype=complex), 0.0
+    else:
+        poles = _phi_poles(model)
     if nudge is None:
         # the smallest pole depth near the window (poles sit where
         # rho = -i, roughly a weight-depth below each atom)
         near = poles[(poles.real >= x1 - 1.0) & (poles.real <= x2 + 1.0)]
         depth = float(np.min(np.abs(near.imag))) if near.size else np.inf
-        nudge = min(1e-3 * max(1.0, x2 - x1), 0.25 * depth, 0.2 * y2)
+        nudge = min(cap, 0.25 * depth)
     y_bot = y1 - nudge if y1 == 0.0 else y1
     corners = [complex(x1, y_bot), complex(x2, y_bot),
                complex(x2, y2), complex(x1, y2)]
@@ -342,4 +353,4 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
     bdry = cabs(model.phi(np.concatenate(
         [a + (b - a) * s for a, b in zip(corners, corners[1:] + corners[:1])])))
     return WindowReport(count, float(winding), float(np.min(bdry)),
-                        float(nudge), poles_in)
+                        float(nudge) if y1 == 0.0 else 0.0, poles_in)

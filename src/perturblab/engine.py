@@ -234,6 +234,16 @@ def _repeats(zs):
     return flags
 
 
+def _collisions(roots, moving):
+    """Two flags for each moving root, roots[moving]: whether it equals a
+    frozen root or an earlier moving one (_repeats with every frozen root
+    put first), and whether it equals any other root at all."""
+    frozen = np.delete(roots, moving)
+    zs = np.concatenate((frozen, roots[moving]))
+    earlier, later = _repeats(zs), _repeats(zs[::-1])[::-1]
+    return earlier[frozen.size:], (earlier | later)[frozen.size:]
+
+
 def _aberth_refine(rep: CauchyRepresentation, roots,
                    budget=ABERTH_ITERATIONS):
     """Simultaneous Aberth-Ehrlich refinement of the zeros of a Cauchy
@@ -244,35 +254,43 @@ def _aberth_refine(rep: CauchyRepresentation, roots,
     and R the regular part of F at t_j, that numerator is
     (w_j + u R) prod_{m != j} (t_m - z), so its logarithmic derivative is
     (u R' - R)/(w_j + u R) + sum_{m != j} 1/(z - t_m): no polynomial value
-    is ever formed.  Each iteration is one Jacobi-style step over all roots
-    at once (as in MPSolve, Bini & Robol 2014), through (roots x poles) and
-    (roots x roots) sums and one rep.regular_parts call.  An iterate equal
-    to an earlier one is nudged aside; one whose correction is not finite
-    stays put.  The refinement stops after the first step that moves every
-    root z_k by less than 1e-14 max(1, max|t|, |z_k|), or after budget
-    steps.  Returns the roots, the steps taken and whether that stop rule
-    fired (False when the budget ran out first).
+    is ever formed.  Each iteration is one Jacobi-style step over the roots
+    still moving (as in MPSolve, Bini & Fiorentino 2000, Bini & Robol 2014),
+    through (moving x poles) and (moving x all roots) sums and one
+    rep.regular_parts call on the moving roots only.  A moving iterate equal
+    to a frozen root or to an earlier moving one is nudged aside; one whose
+    correction is not finite takes a zero step.  A root freezes, keeping its
+    value, after the first step that moves it by less than
+    1e-14 max(1, max|t|, |z_k|), unless it shared its value with another
+    root in that step (the first of equal iterates is not nudged, but the
+    1/0 in its sum over the roots makes its step zero).  The refinement
+    stops once every root is frozen, or after budget steps.  Returns the
+    roots, the steps taken and whether every root froze (False when the
+    budget ran out first).
     """
     roots = np.array(roots, dtype=complex)
-    rows = np.arange(roots.size)
+    moving = np.arange(roots.size)
     t = rep.poles
     scale = max(1.0, float(np.max(np.abs(t))))
     nudge = -1e-8 * scale * (1.0 + 1.0j)
     with np.errstate(all="ignore"):
         for iterations in range(1, budget + 1):
-            js = rep.nearest_poles(roots)
-            u = t[js] - roots
-            r, rp = rep.regular_parts(js, roots)
+            z = roots[moving]
+            js = rep.nearest_poles(z)
+            u = t[js] - z
+            r, rp = rep.regular_parts(js, z)
             logd = ((cmul(u, rp) - r) / (rep.residues[js] + cmul(u, r))
-                    + _sum_inverse_differences(roots, t, js))
-            collided = _repeats(roots)
-            denom = logd - _sum_inverse_differences(roots, roots, rows)
+                    + _sum_inverse_differences(z, t, js))
+            collided, shared = _collisions(roots, moving)
+            denom = logd - _sum_inverse_differences(z, roots, moving)
             step = 1.0 / denom
             ok = (denom != 0) & np.isfinite(denom) & np.isfinite(step)
             steps = np.where(collided, nudge, np.where(ok, step, 0.0))
-            roots = roots - steps
-            if np.all(np.abs(steps)
-                      < 1e-14 * np.maximum(scale, np.abs(roots))):
+            z = z - steps
+            roots[moving] = z
+            moving = moving[shared | ~(np.abs(steps)
+                                       < 1e-14 * np.maximum(scale, np.abs(z)))]
+            if moving.size == 0:
                 return roots, iterations, True
     return roots, budget, False
 

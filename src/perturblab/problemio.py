@@ -14,6 +14,7 @@ on canonical inputs, which is what makes artifacts byte-reproducible.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,6 +104,8 @@ def problem_to_dict(data):
 
 def jsonable(obj):
     """Recursively convert numpy scalars/arrays and complexes to JSON types."""
+    if type(obj) is float:  # the common leaf, before the isinstance walk
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

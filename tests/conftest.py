@@ -55,16 +55,59 @@ def two_atom():
     return make_data([-1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], 1.0)
 
 
+def signed_atoms_loop(rng, n):
+    """Sorted rng.uniform(0.5, 20, n) * rng.choice([-1, 1], n), redrawn
+    until every gap exceeds 0.05."""
+    while True:
+        t = np.sort(rng.uniform(0.5, 20.0, n) * rng.choice([-1.0, 1.0], n))
+        if n == 1 or np.min(np.diff(t)) > 0.05:
+            return t
+
+
+def signed_atoms(rng, n, chunk=4096):
+    """signed_atoms_loop's atoms, and its generator state afterwards, drawn
+    from the raw stream in chunks of tries: 2.0 s instead of 17 s at 100
+    atoms, where the loop makes half a million tries.
+
+    For a Philox generator holding no spare 32-bit half, and even n, one
+    try takes n + n/2 raw 64-bit words: n uniforms, 0.5 + 19.5 (word >> 11)
+    2^-53, then n signs, each the top bit of a 32-bit half (low half
+    first, as next_uint32 hands them out; a set bit picks 1.0).  The loop
+    leaves the last high half in the generator's uinteger.  Any other
+    generator or n runs the loop.
+    """
+    bitgen = rng.bit_generator
+    if not (isinstance(bitgen, np.random.Philox) and n % 2 == 0
+            and not bitgen.state["has_uint32"]):
+        return signed_atoms_loop(rng, n)
+    per_try = n + n // 2
+    while True:
+        start = bitgen.state
+        raw = bitgen.random_raw((chunk, per_try))
+        u = 0.5 + 19.5 * ((raw[:, :n] >> np.uint64(11))
+                          * (1.0 / 9007199254740992.0))
+        halves = np.stack((raw[:, n:] & np.uint64(0xFFFFFFFF),
+                           raw[:, n:] >> np.uint64(32)), axis=2)
+        signs = np.where(halves.reshape(chunk, n) >> np.uint64(31), 1.0, -1.0)
+        t = np.sort(u * signs, axis=1)
+        accepted = np.flatnonzero(np.min(np.diff(t, axis=1), axis=1) > 0.05)
+        if accepted.size:
+            k = accepted[0]
+            bitgen.state = start
+            bitgen.random_raw((k + 1) * per_try)
+            state = bitgen.state
+            state["uinteger"] = int(raw[k, -1] >> np.uint64(32))
+            bitgen.state = state
+            return t[k]
+
+
 def random_instance(rng, n=None, real_type=False, kappa_margin=0.05):
     """Instance with t in +-[0.5, 20] (min gap 0.05), mu in [0.1, 10],
     a, b in the unit disc with |b| >= 0.1, and kappa away from the pairing sum.
     """
     if n is None:
         n = int(rng.integers(2, 13))
-    while True:
-        t = np.sort(rng.uniform(0.5, 20.0, n) * rng.choice([-1.0, 1.0], n))
-        if n == 1 or np.min(np.diff(t)) > 0.05:
-            break
+    t = signed_atoms(rng, n)
     mu = rng.uniform(0.1, 10.0, n)
     if real_type:
         a = rng.uniform(-1.0, 1.0, n).astype(complex)

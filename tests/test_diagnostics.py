@@ -1,5 +1,8 @@
 """Growth envelopes, integrability, synthesis defects, window counts."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from perturblab._numutil import (GL_NODES, GL_WEIGHTS, PANEL_POINTS,
                                  matched_max_distance)
 
 from conftest import (make_data, no_eigensolve, random_instance,
-                      separated_instance)
+                      separated_instance, signed_atoms, signed_atoms_loop)
 
 
 def eigen_count_below(g, lam):
@@ -328,6 +331,42 @@ class TestSynthesisDefect:
             enumerate_partitions(es)
 
 
+def state_text(rng):
+    return json.dumps(rng.bit_generator.state, sort_keys=True,
+                      default=lambda a: a.tolist())
+
+
+class TestRandomInstance:
+    """random_instance draws its atoms from the raw stream in chunks; the
+    atoms and the generator state after them are the rejection loop's."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 30])
+    @pytest.mark.parametrize("seed", [0, 5, 20240817])
+    def test_equal_to_the_loop(self, n, seed):
+        fast = np.random.Generator(np.random.Philox(seed))
+        loop = np.random.Generator(np.random.Philox(seed))
+        for _ in range(3):      # the later draws start mid-buffer
+            assert (signed_atoms(fast, n, chunk=16).tobytes()
+                    == signed_atoms_loop(loop, n).tobytes())
+            assert state_text(fast) == state_text(loop)
+        fast.integers(0, 2)     # leaves a spare 32-bit half: the loop runs
+        loop.integers(0, 2)
+        assert (signed_atoms(fast, n).tobytes()
+                == signed_atoms_loop(loop, n).tobytes())
+        assert state_text(fast) == state_text(loop)
+
+    def test_hundred_atoms_pinned(self, rng):
+        # SHA-256 of the instance arrays and of the generator state after
+        # them, as the rejection loop alone drew them (about 500,000 tries)
+        data = random_instance(rng, 100)
+        arrays = (data.t, data.mu, data.a, data.b, np.complex128(data.kappa))
+        assert hashlib.sha256(b"".join(np.asarray(x).tobytes()
+                                       for x in arrays)).hexdigest() == \
+            "d6c5d3b9583a35fa563c3f560e19199336a09206bacd33a82df8eb1299bd71d8"
+        assert hashlib.sha256(state_text(rng).encode()).hexdigest() == \
+            "41686b7a412d5a5a5a7e3a39b9e669a2628bd6a84ebced34e834d2928047b644"
+
+
 class TestWindow:
     def test_two_atom_examples(self, two_atom):
         m = build_model(two_atom)
@@ -355,7 +394,7 @@ class TestWindow:
             np.random.Generator(np.random.Philox(7)), 30))
         assert volterra_window_check(m, (-10.0, 4.0, 0.3, 2.5)) == \
             WindowReport(0, 7.250780830633269e-07, 0.3238323180539666,
-                         0.013084807907287442, 0)
+                         0.0, 0)
         assert volterra_window_check(m, (-21.0, 21.0, 0.0, 3.0)) == \
             WindowReport(25, 24.99999815211906, 0.1482904479939786,
                          0.011052106570849615, 0)
@@ -363,6 +402,34 @@ class TestWindow:
         assert volterra_window_check(m, (0.1, 20.0, 0.0, 4.0)) == \
             WindowReport(0, -8.942749341702598e-10, 0.013859014422947664,
                          0.00753374924573953, 0)
+
+    def test_no_pole_solve_above_the_nudge_line(self, monkeypatch):
+        # cap = min(1e-3 max(1, x2 - x1), 0.2 y2) = 0.014 here: above it no
+        # pole can enter the window or decide a panel breakpoint
+        import perturblab.diagnostics as diagnostics
+
+        def refuse(model):
+            raise AssertionError("the poles of phi were solved for")
+
+        m = build_model(separated_instance(
+            np.random.Generator(np.random.Philox(7)), 30))
+        monkeypatch.setattr(diagnostics, "_phi_poles", refuse)
+        assert volterra_window_check(m, (-10.0, 4.0, 0.3, 2.5)) == \
+            WindowReport(0, 7.250780830633269e-07, 0.3238323180539666,
+                         0.0, 0)
+        assert volterra_window_check(m, (-10.0, 4.0, 0.0141, 2.5)) == \
+            WindowReport(7, 7.000045789975303, 0.11541571583681992, 0.0, 0)
+
+    def test_low_bottom_edge_keeps_its_report(self):
+        # 0 < y1 <= cap: the poles are solved and the depth-limited nudge
+        # (0.01308...) sets the breakpoints; only the reported nudge is 0.0,
+        # since this bottom edge is not moved
+        m = build_model(separated_instance(
+            np.random.Generator(np.random.Philox(7)), 30))
+        assert volterra_window_check(m, (-10.0, 4.0, 0.005, 2.5)) == \
+            WindowReport(8, 7.999999999999725, 0.1412795939429589, 0.0, 0)
+        assert volterra_window_check(m, (-10.0, 4.0, 0.013, 2.5)) == \
+            WindowReport(7, 7.000000831136174, 0.11700061713138721, 0.0, 0)
 
     def test_bisection_evaluates_only_the_halves(self):
         # one call per refinement level: the 192 nodes of the panel and its

@@ -5,9 +5,10 @@ import pytest
 
 from perturblab.data import Atom, DiscreteSpectralData, RankNData
 from perturblab.errors import AdmissibilityError, OrderTooHigh
-from perturblab.model import build_model, kernel_k
-from perturblab.engine import (MatrixRealization, _aberth_refine,
-                               _beta_infinity, _repeats, adjoint_data,
+from perturblab.model import CauchyRepresentation, build_model, kernel_k
+from perturblab.engine import (ABERTH_ITERATIONS, MatrixRealization,
+                               _aberth_refine, _beta_infinity, _collisions,
+                               _repeats, adjoint_data,
                                adjoint_residual, build_matrix,
                                compute_spectrum, eigensystem, gauge_check,
                                generating_function, kappa_shift,
@@ -198,6 +199,23 @@ class TestClusterPoints:
             assert centers.tobytes() == ref_centers.tobytes()
             assert mults.tolist() == ref_mults.tolist()
 
+    @pytest.mark.parametrize("points, radius", [
+        # all separated: every point is its own center
+        (np.arange(7) * 0.5 + 1j * np.arange(7), 0.1),
+        # a chain of real gaps <= radius spanning 19 radii, one point off it
+        (np.concatenate([np.arange(20) * 0.09, [5.0]])
+         + 1j * np.tile([0.0, 0.05, -0.05, 0.02], 6)[:21], 0.1),
+        # equal real parts, some within radius in imag and some not
+        (2.0 + 1j * np.array([0.0, 0.3, 0.05, -0.3, 0.3, 1.0]), 0.1),
+        (np.array([], dtype=complex), 0.1),
+    ], ids=["separated", "chain", "equal_real", "empty"])
+    def test_runs_equal_the_center_loop(self, points, radius):
+        centers, mults = cluster_points(points, radius)
+        ref_centers, ref_mults = cluster_loop(points, radius)
+        assert centers.dtype == complex and mults.dtype == int
+        assert centers.tobytes() == ref_centers.astype(complex).tobytes()
+        assert mults.tolist() == ref_mults.tolist()
+
 
 @pytest.fixture(scope="class")
 def separated_200():
@@ -258,6 +276,111 @@ class TestLargeTruncation:
         roots, _, stopped = _aberth_refine(build_model(data).beta, seeds)
         assert stopped
         assert matched_max_distance(eigs, roots) <= 1e-10 * scale
+
+
+def step_points(monkeypatch):
+    """The points of every regular_parts call, in order, as they are made."""
+    calls = []
+    regular_parts = CauchyRepresentation.regular_parts
+
+    def recorded(self, js, zs):
+        calls.append(np.array(zs, dtype=complex))
+        return regular_parts(self, js, zs)
+
+    monkeypatch.setattr(CauchyRepresentation, "regular_parts", recorded)
+    return calls
+
+
+def zero_a_n(seed, n, index):
+    """separated_instance with a_index = 0, which makes t_index a zero."""
+    data = separated_instance(np.random.Generator(np.random.Philox(seed)), n)
+    a = data.a.copy()
+    a[index] = 0.0
+    return make_data(data.t, data.mu, a, data.b, data.kappa)
+
+
+class TestFreezing:
+    """Each Aberth step refines only the roots still moving: a root leaves
+    after its first step below the stop and keeps the value it took."""
+
+    def test_moving_points_never_rise(self, separated_200, monkeypatch):
+        data, eigs, scale = separated_200
+        m = build_model(data)
+        calls = step_points(monkeypatch)
+        zeros = phi_zeros(m)
+        sizes = [z.size for z in calls[1:]]     # calls[0] gives the starts
+        assert zeros.seeding == "first_order"
+        assert len(sizes) == zeros.aberth_iterations
+        assert sizes[0] == 200 and sizes[-1] < 200
+        assert all(later <= size for size, later in zip(sizes, sizes[1:]))
+        assert matched_max_distance(eigs, zeros.zeros) <= 1e-10 * scale
+
+    def test_frozen_roots_keep_their_values(self, separated_200, monkeypatch):
+        data, _, _ = separated_200
+        beta = build_model(data).beta
+        seeds = data.t + beta.residues / beta.regular_parts(
+            np.arange(data.t.size), data.t)[0]
+        calls = step_points(monkeypatch)
+        final, iterations, stopped = _aberth_refine(beta, seeds)
+        moving = calls[:iterations]     # moving[k]: the points of step k + 1
+        assert stopped and iterations >= 3
+        for k in range(1, iterations):
+            after_k = _aberth_refine(beta, seeds, k)[0]
+            frozen = ~np.isin(after_k, moving[k])
+            assert np.count_nonzero(frozen) == after_k.size - moving[k].size
+            assert after_k[frozen].tobytes() == final[frozen].tobytes()
+
+    @pytest.mark.parametrize("frozen_first", [True, False])
+    def test_moving_root_on_a_frozen_one_separates(self, frozen_first):
+        # the root started at t_11 (a_11 = 0) has no finite correction, so
+        # it freezes after one zero step.  Two roots start together at v;
+        # the later one is nudged by exactly v - t_11 and meets the frozen
+        # root at step 2, from after or before it in index order
+        data = zero_a_n(7, 30, 11)
+        beta = build_model(data).beta
+        zeros = phi_zeros(build_model(data)).zeros
+        tn = data.t[11]
+        nudge = -1e-8 * max(1.0, float(np.max(np.abs(data.t)))) * (1.0 + 1.0j)
+        v = complex(tn + nudge.real, nudge.imag)
+        while (v - nudge).real != tn:
+            v = complex(np.nextafter(v.real, tn - (v - nudge).real + v.real),
+                        v.imag)
+        c = int(np.flatnonzero(zeros == tn)[0])
+        pair = [c + 1, c + 2] if frozen_first else [c - 2, c - 1]
+        seeds = zeros.copy()
+        seeds[pair] = v
+        after_1 = _aberth_refine(beta, seeds, 1)[0]
+        assert after_1[c] == tn and after_1[pair[1]] == tn
+        roots, _, stopped = _aberth_refine(beta, seeds)
+        assert stopped and not np.any(_repeats(roots))
+        assert matched_max_distance(zeros, roots) <= 1e-10 * max(
+            1.0, float(np.max(np.abs(zeros))))
+
+    def test_collision_flags(self):
+        # a moving root equal to a frozen one is nudged whichever comes
+        # first; of equal moving roots all but the first in index order, and
+        # no root equal to another may freeze in that step
+        roots = np.array([1 + 1j, 2.0, 1 + 1j, 3.0, 2.0])
+
+        def flags(moving):
+            return [f.tolist() for f in _collisions(roots, np.array(moving))]
+
+        assert flags([0, 3]) == [[True, False], [True, False]]
+        assert flags([2, 3]) == [[True, False], [True, False]]
+        assert flags([1, 3, 4]) == [[False, False, True], [True, False, True]]
+        nudged, shared = _collisions(roots, np.arange(5))
+        assert nudged.tolist() == _repeats(roots).tolist()
+        assert shared.tolist() == [True, True, True, False, True]
+
+    def test_sharp_instance_stops_before_the_cap(self):
+        # the eigensolve starts settle in a few steps once settled roots
+        # stop being stepped; |beta| at the zeros was 3.1e-15 with every
+        # root stepped to the cap
+        m = build_model(sharp_instance(1.0, 0.0, 0.0, 500).data)
+        zeros = phi_zeros(m)
+        assert zeros.seeding == "eigensolve"
+        assert zeros.aberth_iterations < ABERTH_ITERATIONS
+        assert np.max(np.abs(m.beta(zeros.zeros))) <= 1e-14
 
 
 class TestRepeats:
