@@ -313,6 +313,25 @@ class TestReproducibility:
         text = canonical_dumps({"b": 1, "a": [1.5, complex(2, -3)]})
         assert text == '{"a":[1.5,[2.0,-3.0]],"b":1}\n'
 
+    def test_canonical_json_of_every_leaf_kind(self):
+        # plain floats take a shortcut in jsonable; the text is pinned to
+        # what the isinstance walk alone wrote
+        nan, inf = float("nan"), float("inf")
+        doc = {"floats": [nan, inf, -inf, -0.0, 1e308, 0.1, [2.5, (-1e-300,)]],
+               "numpy": {"f64": np.float64(-0.0), "f64nan": np.float64(nan),
+                         "f32": np.float32(0.1), "f32inf": np.float32(-inf),
+                         "bool": np.bool_(True), "int": np.int64(-7),
+                         "array": np.array([1.5, nan, -inf])},
+               "python": {"bool": False, "int": 3,
+                          "complex": complex(1.5, -0.0), "none": None,
+                          "str": "x"}}
+        assert canonical_dumps(doc) == (
+            '{"floats":[null,null,null,-0.0,1e+308,0.1,[2.5,[-1e-300]]],'
+            '"numpy":{"array":[1.5,null,null],"bool":true,'
+            '"f32":0.10000000149011612,"f32inf":null,"f64":-0.0,'
+            '"f64nan":null,"int":-7},"python":{"bool":false,'
+            '"complex":[1.5,-0.0],"int":3,"none":null,"str":"x"}}\n')
+
 
 RANK_TWO = """{"atoms": [{"t": -2.0, "mu": 1.0}, {"t": 1.0, "mu": 0.5}, {"t": 3.0, "mu": 2.0}],
  "a": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]],
