@@ -11,6 +11,7 @@ environment variable, else ./out.
 
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -262,13 +263,7 @@ def clark_cmd(cfg, problem, zeta):
     # the parsed value keys the artifact: '-1,0' and '-1.0,0.0' share one
     manifest = problemio.make_manifest(
         "clark", {"zeta": problemio.complex_to_pair(z)}, text, cfg.seed)
-    cfg.emit(manifest, "clark", {
-        "zeta": problemio.complex_to_pair(cm.zeta),
-        "atoms": list(cm.atoms),
-        "weights": list(cm.weights),
-        "p": cm.p,
-        "q": cm.q,
-    })
+    cfg.emit(manifest, "clark", asdict(cm))
 
 
 # -- diagnose ---------------------------------------------------------------
@@ -318,10 +313,7 @@ def integral_cmd(cfg, problem, n_weight, tau, eta):
     manifest = problemio.make_manifest(
         "diagnose-integral", {"n": n_weight, "tau": tau, "eta": eta},
         text, cfg.seed)
-    cfg.emit(manifest, "integral", {
-        "value": rep.value, "tail_estimate": rep.tail_estimate,
-        "convergent": rep.convergent, "decay_exponent": rep.decay_exponent,
-    })
+    cfg.emit(manifest, "integral", asdict(rep))
 
 
 @diagnose_group.command("macaev")
@@ -334,12 +326,7 @@ def macaev_cmd(cfg, problem, picture):
     rep = diag.macaev_check(data, picture=picture)
     manifest = problemio.make_manifest("diagnose-macaev",
                                        {"picture": picture}, text, cfg.seed)
-    cfg.emit(manifest, "macaev", {
-        "picture": rep.picture,
-        "matrix": rep.matrix,
-        "smallest_singular": rep.smallest_singular,
-        "invertible": rep.invertible,
-    })
+    cfg.emit(manifest, "macaev", asdict(rep))
 
 
 @diagnose_group.command("mass")
@@ -354,13 +341,7 @@ def mass_cmd(cfg, problem, zeta):
     manifest = problemio.make_manifest(
         "diagnose-mass", {"zeta": problemio.complex_to_pair(z)}, text,
         cfg.seed)
-    cfg.emit(manifest, "mass", {
-        "zeta": problemio.complex_to_pair(rep.zeta),
-        "p_est": rep.p_est,
-        "has_mass": rep.has_mass,
-        "herglotz_p": rep.herglotz_p,
-        "grid_values": rep.grid_values,
-    })
+    cfg.emit(manifest, "mass", asdict(rep))
 
 
 @diagnose_group.command("synthesis")
@@ -388,12 +369,8 @@ def synthesis_cmd(cfg, problem, partition, budget):
     else:
         sd, n_checked = diag.enumerate_partitions(es, budget=budget,
                                                   seed=cfg.seed)
-    cfg.emit(manifest, "synthesis", {
-        "partition": [list(sd.partition[0]), list(sd.partition[1])],
-        "sigma_min": sd.sigma_min,
-        "gram_condition": sd.gram_condition,
-        "partitions_checked": n_checked,
-    })
+    cfg.emit(manifest, "synthesis",
+             {**asdict(sd), "partitions_checked": n_checked})
 
 
 @diagnose_group.command("volterra-window")
@@ -407,13 +384,7 @@ def volterra_cmd(cfg, problem, rect):
     rep = diag.volterra_window_check(m, vals)
     manifest = problemio.make_manifest("diagnose-volterra-window",
                                        {"rect": list(vals)}, text, cfg.seed)
-    cfg.emit(manifest, "volterra_window", {
-        "count": rep.count,
-        "winding_value": rep.winding_value,
-        "boundary_min_abs_phi": rep.boundary_min_abs_phi,
-        "nudge": rep.nudge,
-        "poles_added_back": rep.poles_added_back,
-    })
+    cfg.emit(manifest, "volterra_window", asdict(rep))
 
 
 # -- gallery ----------------------------------------------------------------

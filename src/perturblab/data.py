@@ -1,7 +1,8 @@
 """Discrete spectral data, perturbation data and admissibility checks.
 
 The unperturbed operator is multiplication by the variable on a finite
-discrete measure sum_n mu_n * delta_{t_n} with 0 outside the support.  A
+discrete measure sum_n mu_n * delta_{t_n} with 0 outside the support,
+held once as two read-only arrays: the positions t and the masses mu.  A
 perturbation is described by per-atom values a_n, b_n and a coupling kappa
 (scalar for rank one, an n x n matrix for rank n).  Admissibility asks that
 kappa differ from the weighted pairing sum_n a_n conj(b_n) mu_n / t_n; for
@@ -22,46 +23,37 @@ EQUALITY_RTOL = 1e-12
 RANK_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One atom of the spectral measure: position t (nonzero), mass mu > 0."""
-
-    t: float
-    mu: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.t) or self.t == 0.0:
-            raise InvalidData(f"atom position must be finite and nonzero, got {self.t}")
-        if not np.isfinite(self.mu) or self.mu <= 0.0:
-            raise InvalidData(f"atom mass must be positive, got {self.mu}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteSpectralData:
-    """Ordered atoms of the discrete measure; t strictly increasing.
+    """Atoms of the discrete measure: positions t, strictly increasing,
+    finite and nonzero, and masses mu > 0, held as read-only float arrays."""
 
-    The positions t and masses mu are built once, as read-only arrays.
-    """
-
-    atoms: tuple
-    t: np.ndarray = field(init=False, repr=False, compare=False)
-    mu: np.ndarray = field(init=False, repr=False, compare=False)
+    t: np.ndarray
+    mu: np.ndarray
 
     def __post_init__(self):
-        atoms = tuple(a if isinstance(a, Atom) else Atom(*a) for a in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
-        t = np.array([a.t for a in atoms], dtype=float)
+        t = np.array(self.t, dtype=float)
+        mu = np.array(self.mu, dtype=float)
+        if t.ndim != 1 or t.shape != mu.shape:
+            raise InvalidData("atom positions t and masses mu must be "
+                              "matching 1-d arrays")
         if t.size == 0:
             raise InvalidData("need at least one atom")
+        bad = ~np.isfinite(t) | (t == 0.0)
+        if np.any(bad):
+            raise InvalidData("atom position must be finite and nonzero, "
+                              f"got {t[bad][0]}")
+        bad = ~(np.isfinite(mu) & (mu > 0.0))
+        if np.any(bad):
+            raise InvalidData(f"atom mass must be positive, got {mu[bad][0]}")
         if np.any(np.diff(t) <= 0):
             raise InvalidData("atom positions must be strictly increasing")
-        mu = np.array([a.mu for a in atoms], dtype=float)
         for name, arr in (("t", t), ("mu", mu)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     def __len__(self):
-        return len(self.atoms)
+        return self.t.size
 
 
 def _as_complex_vector(values, n, name):
@@ -236,7 +228,7 @@ def validate(data):
         t, mu = data.t, data.mu
         terms = data.a * np.conj(data.b) * mu / t
         terms_abs = float(np.sum(np.abs(terms)))
-        sigma = pairing_sum(data)
+        sigma = sum_by_abs_pole(t, terms)
         cond_a, diff = _scalar_condition(data.kappa, sigma, terms_abs)
         sigma_star = sum_by_abs_pole(t, data.b * np.conj(data.a) * mu / t)
         cond_a_star, _ = _scalar_condition(np.conj(data.kappa), sigma_star,

@@ -265,8 +265,7 @@ class WindowReport:
     poles_added_back: int
 
 
-def volterra_window_check(model: ModelPair, rectangle, nudge=None,
-                          max_refine=8):
+def volterra_window_check(model: ModelPair, rectangle):
     """Count zeros of phi in a rectangle of the closed upper half-plane.
 
     Argument-principle integral of phi'/phi over the rectangle boundary; a
@@ -277,10 +276,11 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
     nudge: above that line no pole lies in the window (Im(i + rho) >= 1
     there) and no edge takes the atoms as panel breakpoints.  The report's
     nudge is the one applied: 0.0 unless y1 = 0.  The winding integral is
-    refined by doubling the panel count
-    until it is within 0.05 of an integer; a certified distance above 0.1,
-    or a phi'/phi not finite on the contour, raises ContourTooClose.  A
-    degenerate or non-finite rectangle raises BadParameters.
+    computed at most 8 times, the quadrature tolerance divided by 4 each
+    time, until it is within 0.05 of an integer with an error estimate of
+    at most 0.02; a certified distance above 0.1, or a phi'/phi not finite
+    on the contour, raises ContourTooClose.  A degenerate or non-finite
+    rectangle raises BadParameters.
     """
     x1, x2, y1, y2 = (float(v) for v in rectangle)
     if not (np.all(np.isfinite((x1, x2, y1, y2)))
@@ -288,14 +288,13 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
         raise BadParameters(
             f"degenerate rectangle {rectangle}: need x1 < x2 and "
             "max(y1, 0) < y2, all finite")
-    cap = min(1e-3 * max(1.0, x2 - x1), 0.2 * y2) if nudge is None else nudge
+    cap = min(1e-3 * max(1.0, x2 - x1), 0.2 * y2)
     if y1 > max(cap, 1e-12) + 1e-15:
         # Im(i + rho) >= 1 on the closed upper half-plane, so no pole of phi
         # lies there, and no nudge up to cap puts breakpoints on an edge
         poles, nudge = np.empty(0, dtype=complex), 0.0
     else:
         poles = _phi_poles(model)
-    if nudge is None:
         # the smallest pole depth near the window (poles sit where
         # rho = -i, roughly a weight-depth below each atom)
         near = poles[(poles.real >= x1 - 1.0) & (poles.real <= x2 + 1.0)]
@@ -326,7 +325,7 @@ def volterra_window_check(model: ModelPair, rectangle, nudge=None,
     panels = [pan for a, b in zip(corners, corners[1:] + corners[:1])
               for pan in edge_panels(a, b, 2)]
     tol = 0.05 * 2.0 * np.pi
-    for _ in range(max_refine):
+    for _ in range(8):
         total, err = 0.0 + 0.0j, 0.0
         for val, e in adaptive_panel(model.log_derivative_phi, panels,
                                      tol / max(len(panels), 1)):

@@ -67,10 +67,9 @@ def kappa_shift(data, lam):
 
 def shifted_data(data, lam):
     """Same perturbation over the shifted base A - lambda."""
-    from .data import Atom, DiscreteSpectralData
+    from .data import DiscreteSpectralData
 
-    base = DiscreteSpectralData(tuple(Atom(t - lam, m)
-                                      for t, m in zip(data.t, data.mu)))
+    base = DiscreteSpectralData(data.t - lam, data.mu)
     kl = kappa_shift(data, lam)
     if isinstance(data, RankOneData):
         return RankOneData(base, data.a.copy(), data.b.copy(), kl)
@@ -236,11 +235,17 @@ def _repeats(zs):
 
 def _collisions(roots, moving):
     """Two flags for each moving root, roots[moving]: whether it equals a
-    frozen root or an earlier moving one (_repeats with every frozen root
-    put first), and whether it equals any other root at all."""
+    frozen root or an earlier moving one, and whether it equals any other
+    root at all.  One stable sort by (real, imag) with every frozen root
+    put first: equal roots are then neighbours, in index order."""
     frozen = np.delete(roots, moving)
     zs = np.concatenate((frozen, roots[moving]))
-    earlier, later = _repeats(zs), _repeats(zs[::-1])[::-1]
+    order = np.lexsort((zs.imag, zs.real))
+    ordered = zs[order]
+    equal = ordered[1:] == ordered[:-1]
+    earlier, later = np.zeros((2, zs.size), dtype=bool)
+    earlier[order[1:]] = equal
+    later[order[:-1]] = equal
     return earlier[frozen.size:], (earlier | later)[frozen.size:]
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (BadParameters, BisectionFailure, ExhaustedInput,
                      NearPole, NotLacunary, ToleranceFailure)
-from .data import Atom, DiscreteSpectralData, RankOneData
+from .data import DiscreteSpectralData, RankOneData
 from ._numutil import kahan_sum
 
 #: working precision (decimal digits) for the interlacing construction
@@ -69,7 +69,7 @@ def sharp_instance(eps, alpha1, alpha2, n_terms):
     n = np.arange(1, n_terms + 1, dtype=float)
     a_prime = n ** (2.0 - 2.0 * alpha1 - 0.5 - eps)
     b_prime = c / a_prime
-    base = DiscreteSpectralData(tuple(Atom(tt, 1.0) for tt in t))
+    base = DiscreteSpectralData(t, np.ones_like(t))
     data = RankOneData(base, a_prime.astype(complex),
                        b_prime.astype(complex), 1.0)
     sa = np.cumsum(a_prime ** 2 * t ** (2 * alpha1 - 2.0))
@@ -79,28 +79,13 @@ def sharp_instance(eps, alpha1, alpha2, n_terms):
 
 
 def cos_pi_sqrt(z):
-    """cos(pi sqrt(z)) by its even power series in z (entire, branch-free).
-
-    Terms follow T_{k+1} = -T_k pi^2 z / ((2k+1)(2k+2)).  The largest term
-    grows like exp(2 pi sqrt(|z|)), so the series runs with enough guard
-    digits to keep the final cancellation error below 1e-15 of the result.
-    """
+    """cos(pi sqrt(z)), entire in z: cos is even, so either branch of the
+    root gives the same value.  mpmath evaluates it with 20 digits plus one
+    per decade of |z|, which keeps the error from rounding the argument
+    pi sqrt(z) near 1e-20 max(1, |cos(pi sqrt(z))|)."""
     z = complex(z)
-    guard = 25 + int(2.0 * np.pi * np.sqrt(abs(z)) / np.log(10.0))
-    floor = mp.mpf(10) ** (-(guard - 5))
-    with mp.workdps(guard):
-        zz = mp.mpc(z)
-        term = mp.mpc(1)
-        total = term
-        biggest = mp.mpf(1)
-        for k in range(2000):
-            term = -term * mp.pi ** 2 * zz / ((2 * k + 1) * (2 * k + 2))
-            total += term
-            biggest = max(biggest, abs(term))
-            ratio = mp.pi ** 2 * abs(zz) / ((2 * k + 3) * (2 * k + 4))
-            if ratio < 1 and abs(term) < floor * biggest:
-                break
-        return complex(total)
+    with mp.workdps(20 + int(np.log10(1.0 + abs(z)))):
+        return complex(mp.cos(mp.pi * mp.sqrt(mp.mpc(z))))
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import InvalidProblem
-from .data import Atom, DiscreteSpectralData, RankOneData, RankNData
+from .errors import InvalidData, InvalidProblem
+from .data import DiscreteSpectralData, RankOneData, RankNData
 
 OUTPUT_ROOT_ENV = "PERTURBLAB_OUT"
 
@@ -31,15 +31,23 @@ def complex_to_pair(z):
     return [float(z.real), float(z.imag)]
 
 
-def pair_to_complex(v, where=""):
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(isinstance(x, (int, float)) for x in v)):
-        raise InvalidProblem(f"expected [re, im] pair at {where}, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+def _pairs(value, where):
+    """Nested lists of [re, im] pairs as nested lists of complex values."""
+    if (isinstance(value, list) and len(value) == 2
+            and all(isinstance(x, (int, float)) for x in value)):
+        return complex(float(value[0]), float(value[1]))
+    if not isinstance(value, list) or not value:
+        raise InvalidProblem(
+            f"expected [re, im] pair at {where}, got {value!r}")
+    return [_pairs(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
 def parse_problem(text):
-    """Parse a problem JSON string into rank-one or rank-n data."""
+    """Parse a problem JSON string into rank-one or rank-n data.
+
+    Rank one when kappa is a single [re, im] pair: a and b are then lists
+    of pairs; otherwise a, b and kappa are lists of rows of pairs.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -51,54 +59,34 @@ def parse_problem(text):
     for key in ("atoms", "a", "b", "kappa"):
         if key not in doc:
             raise InvalidProblem(f"missing key {key!r}")
-    atoms = []
-    for i, rec in enumerate(doc["atoms"]):
+    atoms = doc["atoms"]
+    if not isinstance(atoms, list):
+        raise InvalidProblem("atoms must be a list of {'t', 'mu'} objects")
+    for i, rec in enumerate(atoms):
         if not isinstance(rec, dict) or "t" not in rec or "mu" not in rec:
             raise InvalidProblem(f"atoms[{i}] must carry 't' and 'mu'")
-        atoms.append(Atom(float(rec["t"]), float(rec["mu"])))
     try:
-        base = DiscreteSpectralData(tuple(atoms))
-    except Exception as exc:
-        raise InvalidProblem(str(exc))
-
-    kappa = doc["kappa"]
-    rank_one = (isinstance(kappa, (list, tuple)) and len(kappa) == 2
-                and all(isinstance(x, (int, float)) for x in kappa))
-    try:
-        if rank_one:
-            a = np.array([pair_to_complex(v, f"a[{i}]")
-                          for i, v in enumerate(doc["a"])])
-            b = np.array([pair_to_complex(v, f"b[{i}]")
-                          for i, v in enumerate(doc["b"])])
-            return RankOneData(base, a, b, pair_to_complex(kappa, "kappa"))
-        a = np.array([[pair_to_complex(v, f"a[{i}][{j}]")
-                       for j, v in enumerate(row)]
-                      for i, row in enumerate(doc["a"])])
-        b = np.array([[pair_to_complex(v, f"b[{i}][{j}]")
-                       for j, v in enumerate(row)]
-                      for i, row in enumerate(doc["b"])])
-        kap = np.array([[pair_to_complex(v, f"kappa[{i}][{j}]")
-                         for j, v in enumerate(row)]
-                        for i, row in enumerate(kappa)])
-        return RankNData(base, a, b, kap)
-    except InvalidProblem:
-        raise
-    except Exception as exc:
+        base = DiscreteSpectralData([rec["t"] for rec in atoms],
+                                    [rec["mu"] for rec in atoms])
+        a, b, kappa = (np.array(_pairs(doc[key], key))
+                       for key in ("a", "b", "kappa"))
+        rank_one = kappa.ndim == 0
+        if (a.ndim, b.ndim, kappa.ndim) != ((1, 1, 0) if rank_one
+                                            else (2, 2, 2)):
+            raise InvalidProblem(
+                "a and b must be lists of [re, im] pairs" if rank_one else
+                "a, b and kappa must be lists of rows of [re, im] pairs")
+        return (RankOneData if rank_one else RankNData)(base, a, b, kappa)
+    except (InvalidData, ValueError, TypeError, OverflowError) as exc:
         raise InvalidProblem(str(exc))
 
 
 def problem_to_dict(data):
     doc = {"atoms": [{"t": float(t), "mu": float(m)}
                      for t, m in zip(data.t, data.mu)]}
-    if isinstance(data, RankOneData):
-        doc["a"] = [complex_to_pair(z) for z in data.a]
-        doc["b"] = [complex_to_pair(z) for z in data.b]
-        doc["kappa"] = complex_to_pair(data.kappa)
-    else:
-        doc["a"] = [[complex_to_pair(z) for z in row] for row in data.a]
-        doc["b"] = [[complex_to_pair(z) for z in row] for row in data.b]
-        doc["kappa"] = [[complex_to_pair(z) for z in row]
-                        for row in data.kappa]
+    for key in ("a", "b", "kappa"):
+        v = np.asarray(getattr(data, key))
+        doc[key] = np.stack((v.real, v.imag), -1).tolist()
     return doc
 
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from perturblab.data import Atom, DiscreteSpectralData, RankOneData, pairing_sum
+from perturblab.data import DiscreteSpectralData, RankOneData, pairing_sum
 
 
 def make_data(t, mu, a, b, kappa):
-    base = DiscreteSpectralData(tuple(Atom(float(tt), float(mm))
-                                      for tt, mm in zip(t, mu)))
+    base = DiscreteSpectralData(t, mu)
     return RankOneData(base, np.asarray(a, dtype=complex),
                        np.asarray(b, dtype=complex), kappa)
 

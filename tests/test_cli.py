@@ -16,6 +16,13 @@ TWO_ATOM = """{"atoms": [{"t": -1.0, "mu": 1.0}, {"t": 1.0, "mu": 1.0}],
 """
 
 
+RANK_TWO = """{"atoms": [{"t": -2.0, "mu": 1.0}, {"t": 1.0, "mu": 0.5}, {"t": 3.0, "mu": 2.0}],
+ "a": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]],
+ "b": [[[1.0, 0.0], [0.2, 0.0]], [[0.1, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+ "kappa": [[[2.0, 0.0], [0.1, 0.0]], [[0.0, 0.0], [1.5, 0.0]]]}
+"""
+
+
 @pytest.fixture
 def problem_file(tmp_path):
     path = tmp_path / "two_atom.json"
@@ -132,6 +139,40 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert error in proc.stderr
+
+    @pytest.mark.parametrize("text, message", [
+        (TWO_ATOM.replace('"t": -1.0', '"t": "abc"'),
+         "could not convert string to float: 'abc'"),
+        (TWO_ATOM.replace('"t": -1.0', '"t": null'),
+         "atom position must be finite and nonzero, got nan"),
+        ('{"atoms": 5, "a": [], "b": [], "kappa": [1.0, 0.0]}',
+         "atoms must be a list"),
+        (TWO_ATOM.replace('"mu": 1.0}, {', '"mu": [1]}, {'),
+         "inhomogeneous shape"),
+        (TWO_ATOM.replace('"t": 1.0, "mu": 1.0', '"t": 1.0'),
+         "atoms[1] must carry 't' and 'mu'"),
+        (TWO_ATOM.replace('"kappa": [1.0, 0.0]', '"kappa": [1.0, "x"]'),
+         "expected [re, im] pair at kappa[0], got 1.0"),
+        (RANK_TWO.replace('"a": [[[1.0, 0.0], [0.0, 0.0]]',
+                          '"a": [[[1.0, 0.0]]'),
+         "inhomogeneous shape"),
+        (RANK_TWO.replace('"b": [[[1.0, 0.0], [0.2, 0.0]]',
+                          '"b": [[[1.0, 0.0], [0.2]]'),
+         "expected [re, im] pair at b[0][1][0], got 0.2"),
+        (RANK_TWO.replace('"kappa": [[[2.0, 0.0], [0.1, 0.0]], '
+                          '[[0.0, 0.0], [1.5, 0.0]]]',
+                          '"kappa": [[2.0, 0.0], [0.1, 0.0]]'),
+         "a, b and kappa must be lists of rows of [re, im] pairs"),
+    ], ids=["t-text", "t-null", "atoms-number", "mu-list", "no-mu",
+            "kappa-text", "ragged-rows", "short-pair", "rank-n-kappa-1d"])
+    def test_malformed_problem_exit_two(self, tmp_path, text, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        proc = run_fresh(["validate", path], tmp_path / "out")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "InvalidProblem" in proc.stderr and message in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_forced_tolerance_failure_exit_three(self, tmp_path):
         # complex-type data leave a nonzero (machine-level) residual, so an
@@ -331,13 +372,6 @@ class TestReproducibility:
             '"f32":0.10000000149011612,"f32inf":null,"f64":-0.0,'
             '"f64nan":null,"int":-7},"python":{"bool":false,'
             '"complex":[1.5,-0.0],"int":3,"none":null,"str":"x"}}\n')
-
-
-RANK_TWO = """{"atoms": [{"t": -2.0, "mu": 1.0}, {"t": 1.0, "mu": 0.5}, {"t": 3.0, "mu": 2.0}],
- "a": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]],
- "b": [[[1.0, 0.0], [0.2, 0.0]], [[0.1, 0.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
- "kappa": [[[2.0, 0.0], [0.1, 0.0]], [[0.0, 0.0], [1.5, 0.0]]]}
-"""
 
 
 class TestRankN:

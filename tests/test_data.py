@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from perturblab.data import (Atom, DiscreteSpectralData,
+from perturblab.data import (DiscreteSpectralData,
                              RankNData, classify_real_type,
                              generalized_weak_report, omega_matrix, validate)
 from perturblab.errors import InvalidData
@@ -14,16 +14,40 @@ from conftest import make_data
 
 class TestStructure:
     def test_atom_rejects_zero_position(self):
-        with pytest.raises(InvalidData):
-            Atom(0.0, 1.0)
+        for t, shown in ((0.0, "0.0"), (np.nan, "nan"), (-np.inf, "-inf")):
+            with pytest.raises(InvalidData, match="atom position must be "
+                               f"finite and nonzero, got {shown}$"):
+                DiscreteSpectralData([-1.0, t, 2.0], [1.0, 1.0, 1.0])
 
     def test_atom_rejects_nonpositive_mass(self):
-        with pytest.raises(InvalidData):
-            Atom(1.0, 0.0)
+        for mu, shown in ((0.0, "0.0"), (-1.0, "-1.0"), (np.nan, "nan"),
+                          (np.inf, "inf")):
+            with pytest.raises(InvalidData, match="atom mass must be "
+                               f"positive, got {shown}$"):
+                DiscreteSpectralData([-1.0, 1.0, 2.0], [1.0, mu, 1.0])
 
     def test_atoms_must_increase(self):
-        with pytest.raises(InvalidData):
-            DiscreteSpectralData((Atom(1.0, 1.0), Atom(1.0, 2.0)))
+        for t in ([1.0, 1.0], [2.0, 1.0]):
+            with pytest.raises(InvalidData, match="strictly increasing"):
+                DiscreteSpectralData(t, [1.0, 2.0])
+
+    @pytest.mark.parametrize("t, mu, message", [
+        ([], [], "need at least one atom"),
+        ([1.0, 2.0], [1.0], "matching 1-d arrays"),
+        ([[1.0, 2.0]], [[1.0, 1.0]], "matching 1-d arrays"),
+        (1.0, 1.0, "matching 1-d arrays"),
+    ])
+    def test_rejects_malformed_arrays(self, t, mu, message):
+        with pytest.raises(InvalidData, match=message):
+            DiscreteSpectralData(t, mu)
+
+    def test_arrays_are_read_only_copies(self):
+        t, mu = np.array([-1.0, 2.0]), np.array([1.0, 3.0])
+        base = DiscreteSpectralData(t, mu)
+        t[0] = -5.0
+        assert len(base) == 2 and base.t.tolist() == [-1.0, 2.0]
+        for arr in (base.t, base.mu):
+            assert arr.dtype == float and not arr.flags.writeable
 
     def test_all_zero_a_rejected(self):
         with pytest.raises(InvalidData):
@@ -87,15 +111,14 @@ class TestOmega:
         assert omega_matrix(one_atom)[0, 0] == pytest.approx(1.0)
 
     def test_rank_two_identity_pattern(self):
-        base = DiscreteSpectralData((Atom(-1.0, 1.0), Atom(1.0, 1.0)))
+        base = DiscreteSpectralData([-1.0, 1.0], [1.0, 1.0])
         eye = np.eye(2, dtype=complex)
         data = RankNData(base, eye, eye, np.diag([3.0, 3.0]).astype(complex))
         om = omega_matrix(data)
         assert np.allclose(om, np.diag([-1.0, 1.0]))
 
     def test_adjoint_omega_is_conjugate_transpose(self, rng):
-        base = DiscreteSpectralData((Atom(-2.0, 1.0), Atom(0.5, 0.3),
-                                     Atom(3.0, 2.0)))
+        base = DiscreteSpectralData([-2.0, 0.5, 3.0], [1.0, 0.3, 2.0])
         a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         b = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         kappa = np.eye(2) * 2.0
@@ -104,8 +127,7 @@ class TestOmega:
                            omega_matrix(data).conj().T, atol=1e-13)
 
     def test_rank_n_condition_matches_star(self, rng):
-        base = DiscreteSpectralData((Atom(-2.0, 1.0), Atom(0.5, 0.3),
-                                     Atom(3.0, 2.0)))
+        base = DiscreteSpectralData([-2.0, 0.5, 3.0], [1.0, 0.3, 2.0])
         a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         b = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         kappa = np.array([[2.0, 0.1], [0.3, 1.0]], dtype=complex)

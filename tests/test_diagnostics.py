@@ -569,11 +569,10 @@ class TestErrorPaths:
     def test_contour_through_zero_not_certified(self, two_atom):
         from perturblab.errors import ContourTooClose
         m = build_model(two_atom)
-        # force the bottom edge exactly through the real zero 1 + sqrt(2)
+        # the left edge runs exactly through the real zero 1 + sqrt(2)
         with pytest.raises(ContourTooClose):
-            volterra_window_check(m, (1 + np.sqrt(2) - 1.0,
-                                      1 + np.sqrt(2) + 1.0, 0.0, 1.0),
-                                  nudge=0.0, max_refine=3)
+            volterra_window_check(m, (1 + np.sqrt(2), 3 + np.sqrt(2),
+                                      -1.0, 1.0))
 
     def test_mass_present_blocks_transform(self, two_atom):
         from perturblab.errors import MassPresent

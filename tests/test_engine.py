@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from perturblab.data import Atom, DiscreteSpectralData, RankNData
+from perturblab.data import DiscreteSpectralData, RankNData
 from perturblab.errors import AdmissibilityError, OrderTooHigh
 from perturblab.model import CauchyRepresentation, build_model, kernel_k
 from perturblab.engine import (ABERTH_ITERATIONS, MatrixRealization,
@@ -372,6 +372,28 @@ class TestFreezing:
         assert nudged.tolist() == _repeats(roots).tolist()
         assert shared.tolist() == [True, True, True, False, True]
 
+    @staticmethod
+    def two_sorts(roots, moving):
+        """_collisions as first written: _repeats forward and reversed."""
+        frozen = np.delete(roots, moving)
+        zs = np.concatenate((frozen, roots[moving]))
+        earlier, later = _repeats(zs), _repeats(zs[::-1])[::-1]
+        return earlier[frozen.size:], (earlier | later)[frozen.size:]
+
+    def test_collisions_equal_the_two_sort_form(self):
+        rng = np.random.Generator(np.random.Philox(14))
+        pool = np.array([0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan])
+        for _ in range(2000):
+            size = int(rng.integers(1, 12))
+            roots = np.empty(size, dtype=complex)
+            roots.real = rng.choice(pool, size)
+            roots.imag = rng.choice(pool, size)
+            moving = np.sort(rng.choice(size, int(rng.integers(1, size + 1)),
+                                        replace=False))
+            got = _collisions(roots, moving)
+            want = self.two_sorts(roots, moving)
+            assert [f.tolist() for f in got] == [f.tolist() for f in want]
+
     def test_sharp_instance_stops_before_the_cap(self):
         # the eigensolve starts settle in a few steps once settled roots
         # stop being stepped; |beta| at the zeros was 3.1e-15 with every
@@ -581,8 +603,7 @@ class TestAdjointAndGauge:
         assert gauge_check(two_atom, 2.0, 3.0) < 1e-12
 
     def test_gauge_rank_two(self, rng):
-        base = DiscreteSpectralData((Atom(-2.0, 1.0), Atom(1.0, 0.5),
-                                     Atom(3.0, 2.0)))
+        base = DiscreteSpectralData([-2.0, 1.0, 3.0], [1.0, 0.5, 2.0])
         a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         b = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         kappa = np.array([[2.0, 0.1], [0.0, 1.5]], dtype=complex)
