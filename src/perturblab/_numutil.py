@@ -98,11 +98,19 @@ def adaptive_panel(fn, panels, tol, wholes=None):
     gauss_legendre together.  A panel is accepted when its halves agree
     with it within its tolerance, at depth MAX_DEPTH or when their sum is
     not finite; the sums then run up the bisection tree, each parent the
-    sum of its two children.  Returns one (value, error estimate) per panel.
+    sum of its two children.  The tolerance has a floor, the rounding
+    level of the halves' integrals: for each half, with centre c and
+    half-width h, 64 eps |h| sum(GL_WEIGHTS |fn|) for the values and,
+    once the levels agree to half the digits, eps |c| mean|fn(x_i+1) -
+    fn(x_i)| for the nodes, which round to within eps |c| of their places.
+    Below it the levels cannot agree, and a tolerance halved further
+    would bisect a spike down to MAX_DEPTH.  Returns one (value, error
+    estimate) per panel.
     """
     # a panel of a level is (a, b, whole or None, node); results[node] is
     # its (value, error) or, once bisected, the node number of its left half
     results = [None] * len(panels)
+    eps = np.finfo(float).eps
     level = [(a, b, None if wholes is None else wholes[node], node)
              for node, (a, b) in enumerate(panels)]
     depth = 0
@@ -113,14 +121,30 @@ def adaptive_panel(fn, panels, tol, wholes=None):
             if whole is None:
                 pieces.append((a, b))
             pieces += [(a, mid), (mid, b)]
-        sums = iter(gauss_legendre(fn, pieces)[0])
+        sums, vals = gauss_legendre(fn, pieces)
+        vals = np.asarray(vals)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # per piece, the integral of |fn| and the change of fn a node's
+            # rounding makes: a node lies within eps |c| of its place
+            sizes = (np.abs([b / 2.0 - a / 2.0 for a, b in pieces])
+                     * np.sum(GL_WEIGHTS * np.abs(vals), axis=1))
+            shifts = (np.abs([a / 2.0 + b / 2.0 for a, b in pieces])
+                      * np.mean(np.abs(np.diff(vals, axis=1)), axis=1))
+        done = iter(zip(sums, sizes, shifts))
         bisected = []
         for a, b, whole, node in level:
-            whole = next(sums) if whole is None else whole
-            left, right = next(sums), next(sums)
+            whole = next(done)[0] if whole is None else whole
+            (left, l_size, l_shift), (right, r_size, r_shift) = (next(done),
+                                                                 next(done))
             split = left + right
             err = abs(whole - split)
-            if err <= tol or depth >= MAX_DEPTH or not np.isfinite(split):
+            size, shift = l_size + r_size, l_shift + r_shift
+            # the nodes' rounding counts once the levels agree to half the
+            # digits, where fn is resolved between the nodes
+            floor = eps * 64 * size + (eps * shift if err <= 2.0 ** -26 * size
+                                       else 0.0)
+            if (err <= max(tol, floor) or depth >= MAX_DEPTH
+                    or not np.isfinite(split)):
                 results[node] = (split, err)
                 continue
             mid = a / 2.0 + b / 2.0

@@ -326,7 +326,8 @@ def secular_zeros(rep: CauchyRepresentation):
     t, w = rep.poles, rep.residues
     c = _beta_infinity(rep)
     with np.errstate(divide="ignore", invalid="ignore"):
-        seeds = t + w / rep.regular_parts(np.arange(t.size), t)[0]
+        seeds = t + w / rep.regular_parts(np.arange(t.size), t,
+                                          derivatives=False)[0]
     roots, iterations, stopped = _aberth_refine(rep, seeds,
                                                 FIRST_ORDER_ITERATIONS)
     seeding = "first_order"

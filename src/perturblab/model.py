@@ -25,10 +25,12 @@ kernel, _partial_fraction_sums, which Kahan-sums the terms in ascending-|t|
 order along all points at once, so a point gives the same value bit for bit
 alone or in an array (complex products go through _numutil.cmul).  The
 kernel sums every transform an evaluator needs (beta and rho, or beta* and
-rho) in one pass, forming t - z and 1/(t - z) - 1/t once for all of them,
-and sums the derivatives w/(t - z)^2 only for theta_prime and
-log_derivative_phi.  Where |z| is so large (about 1e308) that a product with
-u overflows, the quotients are taken with numerator and denominator over u.
+rho) in one pass, forming one reciprocal r = 1/(t - z) per term and point
+for all of them, the value terms w (r - 1/t) and, only for theta_prime and
+log_derivative_phi, the derivative terms w r^2.  A regular part leaves out
+the point's own pole: its term is an exact 0 in its place in the order.
+Where |z| is so large (about 1e308) that a product with u overflows, the
+quotients are taken with numerator and denominator over u.
 
 The free real constant delta in rho defaults to sum_n nu_n / t_n, which makes
 rho(z) = sum_n nu_n/(t_n - z) = B/A exactly, so Theta coincides with E*/E for
@@ -36,6 +38,7 @@ the associated structure pair E = A - iB with no Moebius discrepancy.  Any
 other real delta may be passed explicitly.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,8 +103,7 @@ class CauchyRepresentation:
         inside = cabs(tj - zs) < POLE_GUARD * (1.0 + np.abs(tj))
         if np.any(inside):
             raise EvaluationAtPole(f"z={zs[inside][0]} within guard of a pole")
-        n = self.poles.size
-        return self.constant + _partial_fraction_sums((self,), zs, n, n,
+        return self.constant + _partial_fraction_sums((self,), zs, None,
                                                       False)[0]
 
     def nearest_poles(self, zs):
@@ -129,16 +131,17 @@ class CauchyRepresentation:
             js[part] = np.argmin(np.abs(t - flat[part, None]), axis=1)
         return js.reshape(zs.shape)
 
-    def regular_parts(self, js, zs):
+    def regular_parts(self, js, zs, derivatives=True):
         """Regular parts of F and F' at many points, each at its own pole.
 
         Entry k is F(z) - w_j/(t_j - z) and its derivative at z = zs[k],
         j = js[k], the other terms summed in ascending-|t| order; a point
-        (0-d js and zs) is a batch of one and gives numpy scalars.
+        (0-d js and zs) is a batch of one and gives numpy scalars.  Without
+        derivatives the tuple holds the regular parts of F only.
         """
         js = np.asarray(js, dtype=int)
         zs = np.asarray(zs, dtype=complex)
-        return tuple(_regular_sums((self,), js, zs, derivatives=True))
+        return tuple(_regular_sums((self,), js, zs, derivatives))
 
 
 def _regular_sums(reps, js, zs, derivatives):
@@ -146,66 +149,64 @@ def _regular_sums(reps, js, zs, derivatives):
     poles): every value, then, with derivatives, every derivative, each of
     zs's shape, all out of one pass of _partial_fraction_sums."""
     t = reps[0].poles
-    sums = _partial_fraction_sums(reps, zs, reps[0]._rank[js], t.size - 1,
-                                  derivatives)
+    sums = _partial_fraction_sums(reps, zs, reps[0]._rank[js], derivatives)
     heads = [rep.constant - rep.residues[js] / t[js] for rep in reps]
     return [head + s for head, s in zip(heads, sums)] + list(sums[len(reps):])
 
 
-def _partial_fraction_sums(reps, zs, own, n_rows, derivatives):
+def _partial_fraction_sums(reps, zs, own, derivatives):
     """Kahan sums of w (1/(t - z) - 1/t) and, with derivatives, of
     w/(t - z)^2 at the points zs, for the residues w of each of the k
     transforms reps, which share their poles t.
 
-    Term i < n_rows at point p takes the pole of ascending-|t| rank
-    i + (i >= own[p]): n_rows = N - 1 leaves out rank own[p], and
-    own = n_rows = N keeps all.  Per block of at most
-    BATCH_ELEMENTS // points terms, t - z, 1/(t - z) - 1/t and (t - z)^2
-    are formed once for all k transforms, the products are written into one
-    preallocated block, and each term is Kahan-added along all points and
-    sums at once, so the memory in use stays bounded at any atom and point
-    count.  Returns the k sums (then the k derivative sums) as a
+    Every pole's term enters in ascending-|t| order, but at point p that of
+    the pole of rank own[p] is an exact 0 (own=None keeps every term).  Per
+    block of at most BATCH_ELEMENTS // points terms, one reciprocal
+    r = 1/(t - z) serves all k transforms, the terms w (r - 1/t) and w r^2
+    go into one preallocated block, and each is Kahan-added along all points
+    and sums at once, so the memory in use stays bounded at any atom and
+    point count.  Returns the k sums (then the k derivative sums) as a
     (k or 2k,) + zs.shape array.
     """
-    flat, own = zs.ravel(), np.ravel(own)
-    order = reps[0]._order
+    flat, order = zs.ravel(), reps[0]._order
     t = reps[0].poles[order]
+    inv_t = 1.0 / t
     residues = np.stack([rep.residues[order] for rep in reps])
-    k = len(reps)
+    k, n = len(reps), t.size
     rows = 2 * k if derivatives else k
     step = max(1, BATCH_ELEMENTS // max(flat.size, 1))
+    # near 1e308 an intermediate of 1/(t - z) overflows, giving 0 for a
+    # subnormal value (and r^2 underflows to 0, as w/(t - z)^2 does)
     far = (np.max(np.abs(t), initial=0.0)
            + np.max(np.abs(flat), initial=0.0) > SQRT_MAX)
-    block = np.empty((min(step, n_rows), rows, flat.size), dtype=complex)
+    # the points by own rank (-1 for none), and where each block's start
+    own = np.full(flat.size, -1) if own is None else np.ravel(own)
+    points = np.argsort(own, kind="stable")
+    starts = np.searchsorted(own[points], np.arange(0, n + step, step))
+    block = np.empty((min(step, n), rows, flat.size), dtype=complex)
     total = np.zeros((rows, flat.size), dtype=complex)
     carry, spare = np.zeros_like(total), np.empty_like(total)
-    for i in range(0, n_rows, step):
-        ranks = np.arange(i, min(i + step, n_rows))[:, None]
-        idx = ranks + (ranks >= own)
-        tm, wm = np.take(t, idx), np.take(residues, idx, axis=1)
-        d = tm - flat
-        if far:
-            # near 1e308 an intermediate of 1/(t - z) overflows, giving 0
-            # for a subnormal value
-            with np.errstate(over="ignore"):
-                diff = 1.0 / d - 1.0 / tm
-        else:
-            diff = 1.0 / d - 1.0 / tm
-        if far and derivatives:
-            with np.errstate(over="ignore", invalid="ignore"):
-                dsq = d ** 2
-            # where (t - z)^2 overflows, w/(t - z)^2 underflows: make it 0
-            dsq[~np.isfinite(dsq)] = np.inf
-        elif derivatives:
-            dsq = d ** 2
-        terms = block[:ranks.shape[0]]
-        for r in range(k):
+    for b, i in enumerate(range(0, n, step)):
+        mine = points[starts[b]:starts[b + 1]]
+        slots = (own[mine] - i, mine)
+        d = t[i:i + step, None] - flat
+        d[slots] = 1.0      # no 1/0 where a point lies on its own pole
+        with np.errstate(over="ignore") if far else nullcontext():
+            r = 1.0 / d
+        diff = r - inv_t[i:i + step, None]
+        diff[slots] = 0.0
+        if derivatives:
+            square = r ** 2
+            square[slots] = 0.0
+        terms = block[:d.shape[0]]
+        for j in range(k):
             # into the block, never onto an operand (numpy's in-place complex
             # multiply rounds unlike its out-of-place one), and transform by
             # transform (a (1, 1, 1) product rounds unlike a (1, 1) one)
-            np.multiply(wm[r], diff, out=terms[:, r])
+            w = residues[j, i:i + step, None]
+            np.multiply(w, diff, out=terms[:, j])
             if derivatives:
-                np.divide(wm[r], dsq, out=terms[:, k + r])
+                np.multiply(w, square, out=terms[:, k + j])
         for v in terms:
             np.add(v, carry, out=v)
             np.add(total, v, out=spare)

@@ -31,10 +31,15 @@ def complex_to_pair(z):
     return [float(z.real), float(z.imag)]
 
 
+def _is_number(x):
+    """Whether x is a JSON number: an int or a float, but not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _pairs(value, where):
     """Nested lists of [re, im] pairs as nested lists of complex values."""
     if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
+            and all(_is_number(x) for x in value)):
         return complex(float(value[0]), float(value[1]))
     if not isinstance(value, list) or not value:
         raise InvalidProblem(
@@ -65,6 +70,10 @@ def parse_problem(text):
     for i, rec in enumerate(atoms):
         if not isinstance(rec, dict) or "t" not in rec or "mu" not in rec:
             raise InvalidProblem(f"atoms[{i}] must carry 't' and 'mu'")
+        for key in ("t", "mu"):
+            if not _is_number(rec[key]):
+                raise InvalidProblem(
+                    f"atoms[{i}].{key} must be a number, got {rec[key]!r}")
     try:
         base = DiscreteSpectralData([rec["t"] for rec in atoms],
                                     [rec["mu"] for rec in atoms])

@@ -142,13 +142,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text, message", [
         (TWO_ATOM.replace('"t": -1.0', '"t": "abc"'),
-         "could not convert string to float: 'abc'"),
+         "atoms[0].t must be a number, got 'abc'"),
         (TWO_ATOM.replace('"t": -1.0', '"t": null'),
-         "atom position must be finite and nonzero, got nan"),
+         "atoms[0].t must be a number, got None"),
         ('{"atoms": 5, "a": [], "b": [], "kappa": [1.0, 0.0]}',
          "atoms must be a list"),
         (TWO_ATOM.replace('"mu": 1.0}, {', '"mu": [1]}, {'),
-         "inhomogeneous shape"),
+         "atoms[0].mu must be a number, got [1]"),
         (TWO_ATOM.replace('"t": 1.0, "mu": 1.0', '"t": 1.0'),
          "atoms[1] must carry 't' and 'mu'"),
         (TWO_ATOM.replace('"kappa": [1.0, 0.0]', '"kappa": [1.0, "x"]'),
@@ -163,8 +163,18 @@ class TestExitCodes:
                           '[[0.0, 0.0], [1.5, 0.0]]]',
                           '"kappa": [[2.0, 0.0], [0.1, 0.0]]'),
          "a, b and kappa must be lists of rows of [re, im] pairs"),
+        (TWO_ATOM.replace('"t": -1.0, "mu": 1.0', '"t": "-1.5", "mu": true'),
+         "atoms[0].t must be a number, got '-1.5'"),
+        (TWO_ATOM.replace('"t": 1.0, "mu": 1.0', '"t": 1.0, "mu": true'),
+         "atoms[1].mu must be a number, got True"),
+        (TWO_ATOM.replace('"t": 1.0, "mu": 1.0', '"t": 1.0, "mu": "2"'),
+         "atoms[1].mu must be a number, got '2'"),
+        (TWO_ATOM.replace('"b": [[1.0, 0.0], [1.0, 0.0]]',
+                          '"b": [[1.0, 0.0], [true, 0]]'),
+         "expected [re, im] pair at b[1][0], got True"),
     ], ids=["t-text", "t-null", "atoms-number", "mu-list", "no-mu",
-            "kappa-text", "ragged-rows", "short-pair", "rank-n-kappa-1d"])
+            "kappa-text", "ragged-rows", "short-pair", "rank-n-kappa-1d",
+            "t-numeric-text", "mu-true", "mu-text", "pair-true"])
     def test_malformed_problem_exit_two(self, tmp_path, text, message):
         path = tmp_path / "malformed.json"
         path.write_text(text)

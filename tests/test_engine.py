@@ -283,9 +283,9 @@ def step_points(monkeypatch):
     calls = []
     regular_parts = CauchyRepresentation.regular_parts
 
-    def recorded(self, js, zs):
+    def recorded(self, js, zs, **options):
         calls.append(np.array(zs, dtype=complex))
-        return regular_parts(self, js, zs)
+        return regular_parts(self, js, zs, **options)
 
     monkeypatch.setattr(CauchyRepresentation, "regular_parts", recorded)
     return calls

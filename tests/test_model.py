@@ -19,7 +19,7 @@ from perturblab.model import (CauchyRepresentation, build_debranges,
                               discrete_inner, kernel_k, kernel_k_tilde,
                               lebesgue_integral)
 from perturblab.engine import kappa_shift
-from perturblab._numutil import cmul, kahan_sum
+from perturblab._numutil import cabs, cmul, kahan_sum
 
 from conftest import beta_numerators, random_instance, separated_instance
 
@@ -166,20 +166,33 @@ def nearest_pole(rep, z):
     return int(np.argmin(np.abs(rep.poles - z)))
 
 
+def own_pole_terms(rep, j, z):
+    """1/(t - z) at every pole in ascending-|t| order and the slot of pole
+    j, whose term is an exact 0 (z may lie on t_j)."""
+    tm = rep.poles[rep._order]
+    slot = rep._rank[j]
+    d = tm - z
+    d[slot] = 1.0
+    return tm, rep.residues[rep._order], 1.0 / d, slot
+
+
 def regular_part(rep, j, z):
     """F(z) - w_j/(t_j - z) at one point: the compensated scalar loop over
-    the other poles in ascending-|t| order."""
-    idx = rep._order[rep._order != j]
-    tm, wm = rep.poles[idx], rep.residues[idx]
+    every pole in ascending-|t| order, pole j's term an exact 0."""
+    tm, wm, r, slot = own_pole_terms(rep, j, z)
+    terms = wm * (r - 1.0 / tm)
+    terms[slot] = 0.0
     head = rep.constant - rep.residues[j] / rep.poles[j]
-    return head + kahan_sum(wm * (1.0 / (tm - z) - 1.0 / tm))
+    return head + kahan_sum(terms)
 
 
 def derivative_regular_part(rep, j, z):
-    """The derivative of regular_part at one point, by the same loop."""
-    idx = rep._order[rep._order != j]
-    tm, wm = rep.poles[idx], rep.residues[idx]
-    return kahan_sum(wm / (tm - z) ** 2)
+    """The derivative of regular_part at one point, by the same loop:
+    terms w (1/(t - z))^2."""
+    _, wm, r, slot = own_pole_terms(rep, j, z)
+    terms = wm * r ** 2
+    terms[slot] = 0.0
+    return kahan_sum(terms)
 
 
 def nearest_by_argmin(poles, zs):
@@ -243,6 +256,8 @@ class TestRegularParts:
         assert all(type(v) is np.complex128 for pair in ones for v in pair)
         assert np.array(ones).T.tobytes() == np.array([scalar,
                                                        dscalar]).tobytes()
+        (values,) = rep.regular_parts(js, zs, derivatives=False)
+        assert values.tobytes() == scalar.tobytes()
 
     @pytest.mark.parametrize("n", [1, 7, 60])
     def test_random_guard_and_atom_points(self, rng, n):
@@ -266,6 +281,56 @@ class TestRegularParts:
         zs = sample_points(rng, m.t, 31)
         for rep in (m.beta, m.rho):
             self.check(rep, zs)
+
+    @pytest.mark.parametrize("instance", ["separated-300", "sharp-120"])
+    def test_kernel_within_two_eps_of_mpmath(self, rng, instance):
+        # the sums of the kernel itself, own pole left out and all poles,
+        # against 40-digit sums of the exact terms at the same float inputs
+        import mpmath as mp
+
+        from perturblab.gallery import sharp_instance
+        from perturblab.model import _partial_fraction_sums
+
+        if instance == "sharp-120":
+            m = build_model(sharp_instance(1.0, 0.0, 0.0, 120).data)
+        else:
+            m = build_model(separated_instance(rng, 300))
+        t = m.t
+        span = t[-1] - t[0]
+        k = 24
+        near = rng.choice(t, k, replace=False)
+        zs = np.concatenate([
+            rng.uniform(t[0] - 5.0, t[-1] + 5.0, k)
+            + 1j * rng.uniform(-0.1, 0.1, k) * span,
+            near + rng.uniform(-0.5, 0.5, k) * 1e-8 * (1.0 + np.abs(near)),
+            near.astype(complex),
+            1e300 * np.exp(2j * np.pi * rng.uniform(size=8)),
+        ])
+        off = np.r_[:k, zs.size - 8:zs.size]    # off the pole guards
+        for rep in (m.beta, m.rho):
+            js = rep.nearest_poles(zs)
+            own = _partial_fraction_sums((rep,), zs, rep._rank[js], True)
+            every = _partial_fraction_sums((rep,), zs[off], None, True)
+            with mp.workdps(40):
+                tm = [mp.mpf(float(x)) for x in rep.poles]
+                wm = [mp.mpc(complex(x)) for x in rep.residues]
+
+                def exact(z, skip):
+                    z = mp.mpc(complex(z))
+                    terms = [[w * (1 / (x - z) - 1 / x), w / (x - z) ** 2]
+                             for i, (x, w) in enumerate(zip(tm, wm))
+                             if i != skip]
+                    return [(mp.fsum(col), mp.fsum(abs(v) for v in col))
+                            for col in zip(*terms)]
+
+                for sums, points, skips in ((own, zs, js),
+                                            (every, zs[off], [-1] * off.size)):
+                    for p, (z, skip) in enumerate(zip(points, skips)):
+                        for row, (ref, size) in enumerate(exact(z, skip)):
+                            err = float(abs(mp.mpc(complex(sums[row, p]))
+                                            - ref))
+                            assert err <= 2 * np.finfo(float).eps * \
+                                float(size), (rep is m.rho, row, z)
 
     def test_memory_is_bounded(self, rng):
         # gathered into (atoms - 1) x points arrays, 500 atoms x 4096
@@ -588,8 +653,43 @@ class TestLebesgueIntegral:
 
         assert lebesgue_integral(fn)[0] == 0.0
 
+    def test_rounding_floor_stops_a_spike(self, monkeypatch):
+        # criterion 06's seventh Clark field, |F|^2 about 4.8e5 between the
+        # atoms 6.138 and 6.188; at a relative tolerance of 1e-12 the halved
+        # tolerances fell below the rounding of the panels' integrals and
+        # 16,050 panels went through gauss_legendre, down to depth 24, for
+        # the value pinned below
+        import perturblab.model as model
+        import perturblab._numutil as numutil
+        from test_acceptance import SEED, instance_set
 
-class TestClarkTransform:
+        rng = np.random.Generator(np.random.Philox(SEED + 2))
+        for data in instance_set(7):
+            n = data.t.size
+            u = rng.normal(size=n) + 1j * rng.normal(size=n)
+            rng.uniform(size=4)         # the draws of lam and mu_pt
+        m = build_model(data)
+        F = clark_transform(clark_measure(m, -1.0), m, u)
+        panels, errors = [], []
+        gauss_legendre, adaptive_panel = (numutil.gauss_legendre,
+                                          model.adaptive_panel)
+
+        def counted(fn, pieces):
+            panels.append(len(pieces))
+            return gauss_legendre(fn, pieces)
+
+        def recorded(*args):
+            parts = adaptive_panel(*args)
+            errors.extend(e for _, e in parts)
+            return parts
+
+        monkeypatch.setattr(numutil, "gauss_legendre", counted)
+        monkeypatch.setattr(model, "adaptive_panel", recorded)
+        monkeypatch.setattr(model, "INTEGRAL_RTOL", 1e-12)
+        val, _ = lebesgue_integral(lambda x: cabs(F(x)) ** 2,
+                                   F.clark.atoms)
+        assert sum(panels) <= 16050 // 4
+        assert abs(val - 1034.1626877352687) <= sum(errors)
     def test_single_atom_coefficient_gives_kernel(self, one_atom):
         m = build_model(one_atom)
         cm = clark_measure(m, -1.0)
