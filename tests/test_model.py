@@ -690,6 +690,9 @@ class TestLebesgueIntegral:
                                    F.clark.atoms)
         assert sum(panels) <= 16050 // 4
         assert abs(val - 1034.1626877352687) <= sum(errors)
+
+
+class TestClarkTransform:
     def test_single_atom_coefficient_gives_kernel(self, one_atom):
         m = build_model(one_atom)
         cm = clark_measure(m, -1.0)
