@@ -102,8 +102,9 @@ def integral_test(model: ModelPair, n_weight, tau, eta):
         return (cabs(model.phi(x + 1j * eta)) ** -tau
                 * (1.0 + np.abs(x)) ** -n_weight)
 
+    # 0.0: the kink of (1 + |x|)^-n_weight
     value, tail = lebesgue_integral(
-        integrand, np.concatenate([model.t, zeros.zeros.real]))
+        integrand, np.concatenate([model.t, zeros.zeros.real, [0.0]]))
     return IntegralReport(float(value), float(tail), True, float(decay))
 
 
@@ -268,19 +269,22 @@ class WindowReport:
 def volterra_window_check(model: ModelPair, rectangle):
     """Count zeros of phi in a rectangle of the closed upper half-plane.
 
-    Argument-principle integral of phi'/phi over the rectangle boundary; a
-    bottom edge on the real axis is nudged slightly below it so real zeros
-    are enclosed, with the nudge kept clear of the poles of phi in the lower
-    half-plane.  The poles are solved for only when y1 <= max(cap, 1e-12)
-    + 1e-15, cap = min(1e-3 max(1, x2 - x1), 0.2 y2) being the largest
-    nudge: above that line no pole lies in the window (Im(i + rho) >= 1
-    there) and no edge takes the atoms as panel breakpoints.  The report's
-    nudge is the one applied: 0.0 unless y1 = 0.  The winding integral is
-    computed at most 8 times, the quadrature tolerance divided by 4 each
-    time, until it is within 0.05 of an integer with an error estimate of
-    at most 0.02; a certified distance above 0.1, or a phi'/phi not finite
-    on the contour, raises ContourTooClose.  A degenerate or non-finite
-    rectangle raises BadParameters.
+    Argument-principle integral of phi'/phi over the rectangle boundary,
+    one quadrature panel per edge (a bottom edge within the nudge of the
+    real axis is split at the atoms), bisected only where two levels
+    disagree; a bottom edge on the real axis is nudged slightly below it
+    so real zeros are enclosed, with the nudge kept clear of the poles of
+    phi in the lower half-plane.  The poles are solved for only when
+    y1 <= max(cap, 1e-12) + 1e-15, cap = min(1e-3 max(1, x2 - x1), 0.2 y2)
+    being the largest nudge: above that line no pole lies in the window
+    (Im(i + rho) >= 1 there) and no edge takes the atoms as panel
+    breakpoints.  The report's nudge is the one applied: 0.0 unless
+    y1 = 0.  The winding integral is computed at most 8 times, the
+    quadrature tolerance divided by 4 each time, until it is within 0.05
+    of an integer with an error estimate of at most 0.02; a certified
+    distance above 0.1, or a phi'/phi not finite on the contour, raises
+    ContourTooClose.  A degenerate or non-finite rectangle raises
+    BadParameters.
     """
     x1, x2, y1, y2 = (float(v) for v in rectangle)
     if not (np.all(np.isfinite((x1, x2, y1, y2)))
@@ -307,23 +311,16 @@ def volterra_window_check(model: ModelPair, rectangle):
     # panel breakpoints: atoms projected onto the horizontal edges
     atoms_in = sorted(t for t in model.t if x1 < t < x2)
 
-    def edge_panels(a, b, splits_per_seg):
+    def edge_panels(a, b):
         pts = [a]
         if a.imag == b.imag and abs(a.imag) <= max(nudge, 1e-12) + 1e-15:
             for t in (atoms_in if a.real < b.real else atoms_in[::-1]):
                 pts.append(complex(t, a.imag))
         pts.append(b)
-        panels = []
-        for p, q in zip(pts[:-1], pts[1:]):
-            for k in range(splits_per_seg):
-                # k/splits first: (q - p) k may overflow where the panel
-                # ends do not
-                panels.append((p + (q - p) * (k / splits_per_seg),
-                               p + (q - p) * ((k + 1) / splits_per_seg)))
-        return panels
+        return list(zip(pts[:-1], pts[1:]))
 
     panels = [pan for a, b in zip(corners, corners[1:] + corners[:1])
-              for pan in edge_panels(a, b, 2)]
+              for pan in edge_panels(a, b)]
     tol = 0.05 * 2.0 * np.pi
     for _ in range(8):
         total, err = 0.0 + 0.0j, 0.0

@@ -439,16 +439,17 @@ def section4_build(t_seq, truncation, dps=SECTION4_DPS):
                                         len(others_tail) // 2)
         arb2_max = _tail_monotone_max_n(u_lac, range(1, 9), len(n1) // 2)
 
-        # largest index at which plain float64 still reproduces d to 1e-8
+        # largest index at which plain float64 still reproduces d and a
+        # nonzero nu to 1e-8 (nu underflows first, to 0.0 or subnormals)
         d_float = _section4_doubles(t_np, n1, others, [float(x) for x in v],
                                     [float(s) for s in sparse])
+        def held(x, exact):
+            return x != 0 and abs(x - exact) <= 1e-8 * abs(exact)
+
         max_k = 0
-        for i in range(k_atoms):
-            if d_float[i] != 0 and abs(d_float[i] - float(d[i])) <= 1e-8 * abs(
-                    float(d[i])):
-                max_k = i + 1
-            else:
-                break
+        while max_k < k_atoms and held(d_float[max_k], float(d[max_k])) \
+                and held(float(nu[max_k]), nu[max_k]):
+            max_k += 1
 
         evaluators = {"A0": a0, "B0": b0, "S": s_fn, "gamma": gamma,
                       "g_over_A": g_over_a, "A": a_full, "B": b_full,

@@ -209,6 +209,22 @@ class TestSection4:
         assert pipe.residue_rel_errors.max() <= 1e-8
         assert pipe.double_precision_max_k < 60
 
+    @pytest.mark.parametrize("k, max_k", [(30, 30), (60, 60), (120, 76)])
+    def test_double_range_covers_the_weights(self, k, max_k):
+        # at K = 120 the d_n still hold in doubles, but nu_n = 2^n d_n^2
+        # leaves the normal range at index 74 and is 0.0 from index 77 on
+        import mpmath as mp
+        pipe = section4_build(np.arange(1.0, k + 11.0), k)
+        assert pipe.double_precision_max_k == max_k
+        nu = pipe.nu_float
+        assert np.all(nu[:max_k] > 0)
+        for x, exact in zip(nu[:max_k], pipe.nu):
+            assert abs(mp.mpf(x) - exact) <= 1e-8 * exact
+        if max_k < k:
+            assert abs(mp.mpf(nu[max_k]) - pipe.nu[max_k]) > \
+                1e-8 * pipe.nu[max_k]
+            assert np.count_nonzero(nu == 0.0) == 42
+
 
 class TestGapChecks:
     def test_inverse_square_sequence(self):
