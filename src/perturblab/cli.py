@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 invalid input, 3 tolerance failure
 Artifacts are written under <out>/<command>/<input-hash>-<run-hash>/, the
 run hash covering the parameters and the seed, and each embeds its run
 manifest; re-running with the same manifest reproduces identical
-bytes.  The output root comes from --out, else the PERTURBLAB_OUT
-environment variable, else ./out.
+bytes on one numpy/BLAS build and BLAS thread count (see
+problemio.RunManifest).  The output root comes from --out, else the
+PERTURBLAB_OUT environment variable, else ./out.
 """
 
 import os
@@ -15,6 +16,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import click
+import mpmath as mp
 import numpy as np
 
 from . import __version__
@@ -495,7 +497,10 @@ def section4_cmd(cfg, truncation, spectrum_file):
         "inv_t_n2_partial": pipe.inv_t_n2_partial,
         "double_precision_max_k": pipe.double_precision_max_k,
     })
-    rows = zip(pipe.t, pipe.d_float, pipe.nu_float)
+    # d and nu at 17 digits of their extended-precision values: in float64
+    # nu underflows past double_precision_max_k
+    rows = ((t, mp.nstr(d_n, 17), mp.nstr(nu_n, 17))
+            for t, d_n, nu_n in zip(pipe.t, pipe.d, pipe.nu))
     cfg.emit_csv(d, "coefficients", ("t", "d", "nu"), rows)
 
 

@@ -166,15 +166,17 @@ class AdmissibilityReport:
     kappa_minus_omega: object  # complex for rank one, ndarray for rank n
     witnesses: dict = field(default_factory=dict)
 
-    @property
-    def admissible(self):
-        return self.condition_A
+
+def _pairing(data):
+    """sum_n a_n conj(b_n) mu_n / t_n for rank-one data (|t| ascending) and
+    the sum of its terms' moduli, the scale of the admissibility test."""
+    terms = data.a * np.conj(data.b) * data.mu / data.t
+    return sum_by_abs_pole(data.t, terms), float(np.sum(np.abs(terms)))
 
 
 def pairing_sum(data):
     """sum_n a_n conj(b_n) mu_n / t_n for rank-one data (|t| ascending)."""
-    t, mu = data.t, data.mu
-    return sum_by_abs_pole(t, data.a * np.conj(data.b) * mu / t)
+    return _pairing(data)[0]
 
 
 def omega_matrix(data):
@@ -226,9 +228,7 @@ def validate(data):
     real_type = classify_real_type(data)
     if isinstance(data, RankOneData):
         t, mu = data.t, data.mu
-        terms = data.a * np.conj(data.b) * mu / t
-        terms_abs = float(np.sum(np.abs(terms)))
-        sigma = sum_by_abs_pole(t, terms)
+        sigma, terms_abs = _pairing(data)
         cond_a, diff = _scalar_condition(data.kappa, sigma, terms_abs)
         sigma_star = sum_by_abs_pole(t, data.b * np.conj(data.a) * mu / t)
         cond_a_star, _ = _scalar_condition(np.conj(data.kappa), sigma_star,
@@ -263,26 +263,21 @@ class GeneralizedWeakReport:
     signed_sum: complex
     satisfies: bool
     abs_partial_sums: np.ndarray
-    signed_partial_sums: np.ndarray
 
 
 def generalized_weak_report(data):
     """Generalized-weakness report for rank-one data.
 
     abs_sum collects sum |a_n b_n| mu_n / |t_n|; the condition holds when the
-    signed pairing sum differs from kappa.  Finite data always have a finite
-    abs_sum, so the report also exposes the partial-sum vectors (in |t|
-    ascending order) for truncation families where divergence is the point.
+    signed pairing sum differs from kappa, decided as validate decides
+    condition_A.  Finite data always have a finite abs_sum, so the report
+    also exposes its partial sums (in |t| ascending order) for truncation
+    families where divergence is the point.
     """
     t, mu = data.t, data.mu
     order = np.argsort(np.abs(t), kind="stable")
-    abs_terms = (np.abs(data.a * data.b) * mu / np.abs(t))[order]
-    signed_terms = (data.a * np.conj(data.b) * mu / t)[order]
-    abs_partial = np.cumsum(abs_terms)
-    signed_partial = np.cumsum(signed_terms)
-    abs_sum = float(abs_partial[-1])
-    signed_sum = complex(signed_partial[-1])
-    tol = EQUALITY_RTOL * (1.0 + abs(data.kappa) + float(np.sum(np.abs(signed_terms))))
-    satisfies = bool(abs(signed_sum - data.kappa) > tol)
-    return GeneralizedWeakReport(abs_sum, signed_sum, satisfies,
-                                 abs_partial, signed_partial)
+    abs_partial = np.cumsum((np.abs(data.a * data.b) * mu / np.abs(t))[order])
+    signed_sum, terms_abs = _pairing(data)
+    satisfies, _ = _scalar_condition(data.kappa, signed_sum, terms_abs)
+    return GeneralizedWeakReport(float(abs_partial[-1]), signed_sum,
+                                 satisfies, abs_partial)

@@ -17,7 +17,7 @@ from .errors import (BadParameters, ContourTooClose, DivergentNearRealZero,
                      NotBiorthogonal)
 from .data import omega_matrix
 from .model import (BATCH_ELEMENTS, CauchyRepresentation, ModelPair,
-                    lebesgue_integral)
+                    lebesgue_integral, unimodular)
 from .engine import Eigensystem, phi_zeros, secular_zeros
 from ._numutil import adaptive_panel, cabs
 
@@ -47,7 +47,11 @@ def growth_profile(model: ModelPair, y_max=1e4, n_points=200):
     y |phi(iy)|; the exponent is a least-squares fit of log|phi| against
     log y over the top decade of the grid, and the exact asymptotic exponent
     is read off the partial-fraction data (ModelPair.exponent_at_infinity).
+    y_max must be finite and at least 10, and n_points at least 2.
     """
+    if not (np.isfinite(y_max) and y_max >= 10.0 and n_points >= 2):
+        raise BadParameters(f"need a finite y_max >= 10 and n_points >= 2, "
+                            f"got {y_max} and {n_points}")
     y = np.logspace(0.0, np.log10(y_max), n_points)
     phi = cabs(model.phi(1j * y))
     beta = cabs(model.beta(1j * y))
@@ -155,9 +159,10 @@ def mass_detect(model: ModelPair, zeta):
     y|zeta - Theta(iy)|/2 stabilizes to S0/|i + rho(inf)|^2 with
     S0 = sum nu_n; the Herglotz mass itself is the reciprocal
     |i + rho(inf)|^2 / S0.  For all other unimodular zeta the sampled
-    quantity grows linearly and has_mass is False.
+    quantity grows linearly and has_mass is False.  A zeta that is not
+    unimodular raises BadParameters.
     """
-    zeta = complex(zeta)
+    zeta = unimodular(zeta)
     y = np.logspace(1, 6, 26)
     vals = y * cabs(zeta - model.theta(1j * y)) / 2.0
     d_inf = model.delta_infinity

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AdmissibilityError, ChainRequired, EigensolveFailure,
-                     NoInvertibleShift, NotBiorthogonal, NotMinimal,
-                     OrderTooHigh, SingularGauge)
+from .errors import (AdmissibilityError, BadParameters, ChainRequired,
+                     EigensolveFailure, NoInvertibleShift, NotBiorthogonal,
+                     NotMinimal, OrderTooHigh, SingularGauge)
 from .data import RankOneData, RankNData, validate
 from .model import (BATCH_ELEMENTS, CauchyRepresentation, ModelPair,
                     build_model, kernel_k)
@@ -83,10 +83,6 @@ class MatrixRealization:
     data: object
     inverse_residual: float
 
-    @property
-    def weights(self):
-        return self.data.mu
-
 
 def _build_direct(data):
     a, b, kappa = _columns(data)
@@ -120,16 +116,14 @@ def build_matrix(data, route="auto"):
     report = validate(data)
     if not report.condition_A:
         raise AdmissibilityError("admissibility condition fails")
-    _, _, kappa = _columns(data)
-    if route == "auto":
-        route = "direct" if _kappa_invertible(kappa) else "shift"
-    if route == "direct":
-        if not _kappa_invertible(kappa):
-            raise AdmissibilityError("kappa not invertible; use the shift route")
-        L, resid = _build_direct(data)
-        return MatrixRealization(L, ("direct",), data, resid)
+    if route not in ("auto", "direct", "shift"):
+        raise BadParameters(f"unknown route {route!r}")
     if route != "shift":
-        raise ValueError(f"unknown route {route!r}")
+        if _kappa_invertible(_columns(data)[2]):
+            L, resid = _build_direct(data)
+            return MatrixRealization(L, ("direct",), data, resid)
+        if route == "direct":
+            raise AdmissibilityError("kappa not invertible; use the shift route")
     t = data.t
     big = 2.0 * np.max(np.abs(t))
     for lam in np.linspace(-big, big, 1000):
@@ -221,16 +215,6 @@ def _sum_inverse_differences(zs, points, skip):
         inv[np.arange(inv.shape[0]), skip[k:k + step]] = 0.0
         sums[k:k + step] = np.sum(inv, axis=1)
     return sums
-
-
-def _repeats(zs):
-    """Flag each entry of zs equal to an earlier one: after a stable sort
-    by (real, imag), every equal neighbour after the first."""
-    order = np.lexsort((zs.imag, zs.real))
-    ordered = zs[order]
-    flags = np.zeros(zs.size, dtype=bool)
-    flags[order[1:]] = ordered[1:] == ordered[:-1]
-    return flags
 
 
 def _collisions(roots, moving):
@@ -332,7 +316,8 @@ def secular_zeros(rep: CauchyRepresentation):
                                                 FIRST_ORDER_ITERATIONS)
     seeding = "first_order"
     if not (stopped and np.all(np.isfinite(seeds))
-            and np.all(np.isfinite(roots)) and not np.any(_repeats(roots))):
+            and np.all(np.isfinite(roots))
+            and not np.any(_collisions(roots, np.arange(roots.size))[0])):
         mat = np.outer(w / c, np.ones(t.size))
         mat[np.diag_indices(t.size)] += t
         roots, iterations, _ = _aberth_refine(rep, np.linalg.eigvals(mat))
@@ -363,7 +348,6 @@ class SpectrumResult:
     hausdorff: float
     oracle: OracleSpectrum
     model_zeros: PhiZeros
-    chains: tuple
     route: tuple
 
 
@@ -382,13 +366,12 @@ def compute_spectrum(data, route="auto", model=None):
         zeros = PhiZeros(empty, empty, np.array([], dtype=int),
                          empty, empty, empty, "none", 0)
         return SpectrumResult(oracle.eigenvalues, empty, float("nan"),
-                              float("nan"), oracle, zeros, oracle.jordan,
-                              M.route)
+                              float("nan"), oracle, zeros, M.route)
     zeros = phi_zeros(model)
     resid = matched_max_distance(oracle.eigenvalues, zeros.zeros)
     hd = hausdorff_distance(oracle.eigenvalues, zeros.zeros)
     return SpectrumResult(oracle.eigenvalues, zeros.zeros, resid, hd,
-                          oracle, zeros, oracle.jordan, M.route)
+                          oracle, zeros, M.route)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +395,6 @@ def strong_real_type(data, result: SpectrumResult = None):
 class Eigensystem:
     eigenvalues: np.ndarray
     h_samples: np.ndarray            # rows: h_lam at atoms
-    right_vectors: np.ndarray        # columns: eigenvectors of L
     left_vectors: np.ndarray         # columns: eigenvectors of L*, normalized
     model_vectors: np.ndarray        # columns: a_n/(t_n - lam)
     collinearity: np.ndarray         # 1 - |<v, w>| per eigenvalue
@@ -439,8 +421,8 @@ def eigensystem(data: RankOneData, model=None, matrix=None):
 
     from scipy.optimize import linear_sum_assignment
     evals, evecs = np.linalg.eig(matrix.L)
-    rows, cols = linear_sum_assignment(np.abs(lams[:, None] - evals))
-    evecs = evecs[:, cols[np.argsort(rows)]]
+    # rows is arange for the square cost matrix
+    evecs = evecs[:, linear_sum_assignment(np.abs(lams[:, None] - evals))[1]]
 
     diff = t - lams[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):   # checked below
@@ -484,7 +466,7 @@ def eigensystem(data: RankOneData, model=None, matrix=None):
     np.fill_diagonal(off, 0.0)
     gram_offdiag = float(np.max(np.abs(off))) if lams.size > 1 else 0.0
 
-    return Eigensystem(lams, h_samples, evecs, g.T, f.T, collin,
+    return Eigensystem(lams, h_samples, g.T, f.T, collin,
                        gram, gram_offdiag, mu)
 
 
@@ -666,9 +648,7 @@ def generating_function(model: ModelPair, lambdas, lambda0=None):
         raise NotMinimal(f"need exactly {n} points, got {lams.size}")
     if lambda0 is None:
         lambda0 = lams[0]
-    rest = lams[np.abs(lams - lambda0) > 0]
-    if rest.size != n - 1:
-        rest = np.delete(lams, int(np.argmin(np.abs(lams - lambda0))))
+    rest = np.delete(lams, int(np.argmin(np.abs(lams - lambda0))))
     if n == 1:
         coeffs = np.array([1.0 + 0.0j])
         cond = 1.0

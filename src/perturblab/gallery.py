@@ -16,6 +16,7 @@ Everything emits finite identities and partial sums only; no infinite
 completeness claim is asserted.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import mpmath as mp
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import (BadParameters, BisectionFailure, ExhaustedInput,
                      NearPole, NotLacunary, ToleranceFailure)
 from .data import DiscreteSpectralData, RankOneData
-from ._numutil import kahan_sum
+from .model import CauchyRepresentation, build_model
 
 #: working precision (decimal digits) for the interlacing construction
 SECTION4_DPS = 60
@@ -106,13 +107,15 @@ def mittag_leffler_check(z, n_terms):
     once t_{N+1} >= 2|z|.  The error must not exceed the bound (hard check).
     """
     z = complex(z)
+    if n_terms < 1:
+        raise BadParameters(f"need at least one term, got {n_terms}")
     t, c = sharp_coefficients(n_terms)
     dist = np.min(np.abs(t - z))
     if dist < 0.25:
         raise NearPole(f"z={z} is within 0.25 of a pole")
     if (n_terms + 0.5) ** 2 < 2.0 * abs(z):
         raise BadParameters("tail bound needs (N + 1/2)^2 >= 2|z|")
-    rhs = 1.0 + kahan_sum(c * (1.0 / (t - z) - 1.0 / t))
+    rhs = CauchyRepresentation(t, c, 1.0)(z)
     lhs = 1.0 / cos_pi_sqrt(z)
     err = abs(lhs - rhs)
     tail = (2.0 / np.pi) * abs(z) / (n_terms - 0.5) ** 2
@@ -128,7 +131,6 @@ def sharp_zero_freeness(instance: SharpInstance, rectangle):
     Runs the argument-principle window check; the construction claims no
     zeros in the closed upper half-plane, so the expected count is 0.
     """
-    from .model import build_model
     from .diagnostics import volterra_window_check
 
     model = build_model(instance.data)
@@ -207,10 +209,6 @@ class Section4Pipeline:
     inv_t_n2_partial: np.ndarray
     double_precision_max_k: int
     evaluators: dict = field(repr=False)
-
-    @property
-    def d_float(self):
-        return np.array([float(x) for x in self.d])
 
     @property
     def nu_float(self):
@@ -316,14 +314,10 @@ def section4_build(t_seq, truncation, dps=SECTION4_DPS):
         def s_fn(z):
             return mp.fprod(1 - z / s for s in sparse)
 
-        p_k = [v[k] / s_fn(t[n1[k]]) for k in range(len(n1))]
-
-        # q_n = (2 t_n)^{-n} min_k |t_n - t_{n_k}| with 1-based n
-        q = {}
-        for i in others:
-            n_label = i + 1
-            mindist = min(abs(t[i] - t[nk]) for nk in n1)
-            q[i] = (2 * t[i]) ** (-n_label) * mindist
+        # the weights q_n and the closed-form coefficients of the partial
+        # fractions of B0/(S A0) and g/A
+        q, p_k, d = _section4_coefficients(t, n1, others, v, sparse,
+                                           mp.fsum, mp.fprod)
         q_total = mp.fsum(q.values())
         if not q_total < 1:
             raise BadParameters(f"sum q_n = {q_total} is not < 1")
@@ -336,15 +330,6 @@ def section4_build(t_seq, truncation, dps=SECTION4_DPS):
 
         def a_full(z):
             return mp.fprod(1 - z / ti for ti in t)
-
-        # closed-form coefficients of the partial fraction of g/A
-        d = [mp.mpf(0)] * k_atoms
-        for k, i in enumerate(n1):
-            d[i] = -p_k[k] * (1 - mp.fsum(q[m] / (t[i] - t[m])
-                                          for m in others))
-        for i in others:
-            d[i] = -q[i] * mp.fsum(p_k[k] / (t[n1[k]] - t[i])
-                                   for k in range(len(n1)))
 
         # residue check: lim (z - t_n) g/A via Richardson at adaptive h.
         # Coefficients span hundreds of orders of magnitude, so the working
@@ -400,7 +385,6 @@ def section4_build(t_seq, truncation, dps=SECTION4_DPS):
             if t[i] > 2 * last and count % 2 == 0:
                 n2.append(i)
                 last = t[i]
-        n2 = [i for i in n2 if t[i] > 0]
 
         nu = [mp.mpf(0)] * k_atoms
         n1set, n2set = set(n1), set(n2)
@@ -425,24 +409,25 @@ def section4_build(t_seq, truncation, dps=SECTION4_DPS):
             return a_full(z) - mp.j * b_full(z)
 
         # decay checks (tail-monotone) for the two index families
-        others_tail = [i for i in others]
-
         def u_others(n_exp):
             return [float(mp.mpf(2) ** (i + 1) * abs(d[i]) * t[i] ** n_exp)
-                    for i in others_tail]
+                    for i in others]
 
         def u_lac(n_exp):
             return [float(mp.mpf(2) ** (k + 1) * abs(d[n1[k]])
                           * t[n1[k]] ** n_exp) for k in range(len(n1))]
 
         arb1_max = _tail_monotone_max_n(u_others, range(1, 9),
-                                        len(others_tail) // 2)
+                                        len(others) // 2)
         arb2_max = _tail_monotone_max_n(u_lac, range(1, 9), len(n1) // 2)
 
         # largest index at which plain float64 still reproduces d and a
         # nonzero nu to 1e-8 (nu underflows first, to 0.0 or subnormals)
-        d_float = _section4_doubles(t_np, n1, others, [float(x) for x in v],
-                                    [float(s) for s in sparse])
+        with np.errstate(all="ignore"):
+            d_float = _section4_coefficients(
+                t_np, n1, others, [float(x) for x in v],
+                [float(s) for s in sparse], sum, math.prod)[2]
+
         def held(x, exact):
             return x != 0 and abs(x - exact) <= 1e-8 * abs(exact)
 
@@ -472,25 +457,24 @@ def section4_build(t_seq, truncation, dps=SECTION4_DPS):
             evaluators=evaluators)
 
 
-def _section4_doubles(t_np, n1, others, v, sparse):
-    """Float64 mirror of the d-coefficient pipeline (for the max-K report)."""
-    t = t_np
-    with np.errstate(all="ignore"):
-        def s_fn(z):
-            return np.prod([1 - z / s for s in sparse])
+def _section4_coefficients(t, n1, others, v, sparse, fsum, fprod):
+    """The weights q_n (a dict over others), the partial-fraction
+    coefficients p_k of B0/(S A0) and the coefficients d_n of g/A, in the
+    arithmetic of t's entries: section4_build's extended precision (mpf
+    with mp.fsum, mp.fprod) or float64 (with sum, math.prod)."""
+    def s_fn(z):
+        return fprod(1 - z / s for s in sparse)
 
-        p_k = [v[k] / s_fn(t[i]) for k, i in enumerate(n1)]
-        q = {}
-        for i in others:
-            mind = min(abs(t[i] - t[nk]) for nk in n1)
-            q[i] = (2 * t[i]) ** (-(i + 1)) * mind
-        d = [0.0] * len(t)
-        for k, i in enumerate(n1):
-            d[i] = -p_k[k] * (1 - sum(q[m] / (t[i] - t[m]) for m in others))
-        for i in others:
-            d[i] = -q[i] * sum(p_k[k] / (t[n1[k]] - t[i])
-                               for k in range(len(n1)))
-    return d
+    p = [v[k] / s_fn(t[i]) for k, i in enumerate(n1)]
+    # q_n = (2 t_n)^{-n} min_k |t_n - t_{n_k}| with 1-based n
+    q = {i: (2 * t[i]) ** (-(i + 1)) * min(abs(t[i] - t[nk]) for nk in n1)
+         for i in others}
+    d = [None] * len(t)
+    for k, i in enumerate(n1):
+        d[i] = -p[k] * (1 - fsum(q[m] / (t[i] - t[m]) for m in others))
+    for i in others:
+        d[i] = -q[i] * fsum(p[k] / (t[nk] - t[i]) for k, nk in enumerate(n1))
+    return q, p, d
 
 
 # ---------------------------------------------------------------------------

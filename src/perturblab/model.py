@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (AdmissibilityError, BadParameters, DegenerateZeta,
-                     EvaluationAtPole, MassPresent)
-from .data import EQUALITY_RTOL, RankOneData, validate, classify_real_type
+                     EvaluationAtPole, InvalidData, MassPresent)
+from .data import EQUALITY_RTOL, RankOneData, validate
 from ._numutil import (BATCH_ELEMENTS, GL_WEIGHTS, adaptive_panel, cabs,
                        cmul, difference_quotient, gauss_legendre, kahan_sum,
                        sum_by_abs_pole)
@@ -78,9 +78,9 @@ class CauchyRepresentation:
         poles = np.asarray(self.poles, dtype=float)
         residues = np.asarray(self.residues, dtype=complex)
         if poles.ndim != 1 or poles.shape != residues.shape:
-            raise ValueError("poles and residues must be matching 1-d arrays")
+            raise InvalidData("poles and residues must be matching 1-d arrays")
         if np.any(poles == 0) or np.any(np.diff(poles) <= 0):
-            raise ValueError("poles must be nonzero and strictly increasing")
+            raise InvalidData("poles must be nonzero and strictly increasing")
         poles.flags.writeable = False
         residues.flags.writeable = False
         object.__setattr__(self, "poles", poles)
@@ -290,10 +290,6 @@ class ModelPair:
             powers = powers * x
         raise AdmissibilityError("beta vanishes identically")
 
-    @property
-    def real_type(self):
-        return classify_real_type(self.data)
-
     # -- evaluation at a point or an array of points ------------------------
 
     def _split(self, z, *reps, derivatives=False):
@@ -376,7 +372,7 @@ class ModelPair:
         three are analytic at atoms and use the regrouped limit formulas.
         """
         if which not in ("beta", "rho", "theta", "phi", "phi_tilde"):
-            raise ValueError(f"unknown function {which!r}")
+            raise BadParameters(f"unknown function {which!r}")
         return getattr(self, which)(z)
 
 
@@ -494,11 +490,17 @@ class ClarkMeasure:
     q: float
 
 
-def clark_measure(model: ModelPair, zeta):
-    """Clark measure of the model's Theta at unimodular zeta."""
+def unimodular(zeta):
+    """zeta as a complex number; BadParameters unless |zeta| = 1 to 1e-10."""
     zeta = complex(zeta)
     if not abs(abs(zeta) - 1.0) <= 1e-10:      # nan fails too
         raise BadParameters("zeta must be unimodular")
+    return zeta
+
+
+def clark_measure(model: ModelPair, zeta):
+    """Clark measure of the model's Theta at unimodular zeta."""
+    zeta = unimodular(zeta)
     if abs(zeta - model.theta_infinity) <= 1e-12:
         raise DegenerateZeta(
             "zeta equals Theta at infinity; one atom escapes to infinity "
@@ -522,15 +524,13 @@ def clark_measure(model: ModelPair, zeta):
             atoms = atoms - ((model.theta(atoms) - zeta)
                              / model.theta_prime(atoms)).real
         weights = 2.0 / cabs(model.theta_prime(atoms))
-    # q from the Herglotz representation evaluated at z = i
-    zi = 1j
-    theta_i = model.theta(zi)
-    g = (zeta + theta_i) / (zeta - theta_i)
-    cauchy = kahan_sum(weights * (1.0 / (atoms - zi)
-                                  - atoms / (atoms ** 2 + 1.0)))
-    q = -1j * (g - cauchy / 1j)
+    # q = Im (zeta + Theta(i))/(zeta - Theta(i)), from the Herglotz
+    # representation at z = i: the real part of its Cauchy integral there,
+    # sum w (1/(x - i) - x/(x^2 + 1)), vanishes term by term
+    theta_i = model.theta(1j)
+    q = ((zeta + theta_i) / (zeta - theta_i)).imag
     return ClarkMeasure(zeta=zeta, atoms=atoms, weights=weights,
-                        p=0.0, q=float(q.real))
+                        p=0.0, q=float(q))
 
 
 def kernel_k(model: ModelPair, lam, z):
@@ -612,7 +612,7 @@ class ClarkField:
         self.model = model
         self.u = np.asarray(u, dtype=complex)
         if self.u.shape != clark.atoms.shape:
-            raise ValueError("u must have one coefficient per atom")
+            raise InvalidData("u must have one coefficient per atom")
 
     def __call__(self, z):
         """F at a point or an array, Kahan-summed over the atoms along a last

@@ -141,9 +141,12 @@ def input_hash(text):
 class RunManifest:
     """Reproducibility record embedded in every artifact.
 
-    An identical manifest reruns to bit-identical JSON artifacts: summation
-    order, eigensolver settings and sampled partitions are all fixed by the
-    inputs and the seed.
+    An identical manifest reruns to bit-identical artifacts on one
+    numpy/BLAS build with one BLAS thread count: summation order,
+    eigensolver settings and sampled partitions are all fixed by the inputs
+    and the seed.  Neither the build nor the thread count is recorded, and
+    LAPACK results depend on both: spectrum's oracle and the sharp
+    eigensolve fallback differ between OPENBLAS_NUM_THREADS=1 and =2.
     """
 
     command: str
@@ -200,6 +203,7 @@ def write_csv_artifact(directory, name, header, rows):
     path = Path(directory) / f"{name}.csv"
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+        lines.append(",".join(v if isinstance(v, str) else repr(float(v))
+                              for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

@@ -140,6 +140,23 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert error in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["gallery", "ml-check", "--n", "0"],
+        ["gallery", "ml-check", "--n", "-3"],
+        ["diagnose", "growth", "{problem}", "--ymax", "5"],
+        ["diagnose", "growth", "{problem}", "--npoints", "1"],
+        ["diagnose", "growth", "{problem}", "--ymax", "inf"],
+        ["diagnose", "mass", "{problem}", "--zeta", "2,0"],
+    ])
+    def test_out_of_range_parameter_exit_two(self, tmp_path, problem_file,
+                                             argv, capsys):
+        # an empty sum or grid would end in a traceback or a nan, and mass
+        # refuses the zeta that clark refuses
+        argv = [a.format(problem=problem_file) for a in argv]
+        assert main(["--quiet", "--out", str(tmp_path / "out")] + argv) == 2
+        assert "BadParameters" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, message", [
         (TWO_ATOM.replace('"t": -1.0', '"t": "abc"'),
          "atoms[0].t must be a number, got 'abc'"),
@@ -263,6 +280,28 @@ class TestArtifacts:
         doc, _ = read_artifact(tmp_path / "out", "gallery-section4",
                                "section4")
         assert doc["result"]["residue_max_rel_error"] <= 1e-8
+
+    def test_section4_coefficients_at_full_precision(self, tmp_path):
+        # past double_precision_max_k (76) nu_n = 2^n d_n^2 underflows in
+        # float64, to 0.0 in 42 of the 120 rows; the CSV keeps 17 digits
+        import mpmath as mp
+        from perturblab.gallery import section4_build
+
+        code = main(["--quiet", "--out", str(tmp_path / "out"), "gallery",
+                     "section4", "--k", "120"])
+        assert code == 0
+        path, = (tmp_path / "out" / "gallery-section4").glob(
+            "*/coefficients.csv")
+        header, *lines = path.read_text().splitlines()
+        assert header == "t,d,nu"
+        pipe = section4_build(np.arange(1.0, 121.0), 120)
+        rows = [line.split(",") for line in lines]
+        assert [float(t) for t, _, _ in rows] == pipe.t.tolist()
+        assert sum(float(x) == 0.0 for x in pipe.nu) == 42
+        with mp.workdps(30):
+            for (_, d, nu), d_exact, nu_exact in zip(rows, pipe.d, pipe.nu):
+                assert abs(mp.mpf(nu) - nu_exact) <= 1e-15 * nu_exact
+                assert abs(mp.mpf(d) - d_exact) <= 1e-15 * abs(d_exact)
 
     def test_gallery_lacunary(self, tmp_path):
         spec = tmp_path / "spectrum.json"

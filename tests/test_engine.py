@@ -8,7 +8,7 @@ from perturblab.errors import AdmissibilityError, OrderTooHigh
 from perturblab.model import CauchyRepresentation, build_model, kernel_k
 from perturblab.engine import (ABERTH_ITERATIONS, MatrixRealization,
                                _aberth_refine, _beta_infinity, _collisions,
-                               _repeats, adjoint_data,
+                               adjoint_data,
                                adjoint_residual, build_matrix,
                                compute_spectrum, eigensystem, gauge_check,
                                generating_function, kappa_shift,
@@ -236,7 +236,7 @@ class TestLargeTruncation:
         assert zeros.seeding == "first_order"
         assert matched_max_distance(eigs, zeros.zeros) <= 1e-10 * scale
 
-    @pytest.mark.parametrize("n", [400, 800])
+    @pytest.mark.parametrize("n", [400, 800, 2048])
     def test_model_route_matches_oracle_beyond_200(self, n, monkeypatch):
         data = separated_instance(np.random.Generator(np.random.Philox(n)), n)
         eigs = oracle_spectrum(build_matrix(data)).eigenvalues
@@ -299,6 +299,12 @@ def zero_a_n(seed, n, index):
     return make_data(data.t, data.mu, a, data.b, data.kappa)
 
 
+def repeats(zs):
+    """Each entry of zs equal to an earlier one, as the gate of
+    secular_zeros flags it: _collisions with every root moving."""
+    return _collisions(zs, np.arange(zs.size))[0]
+
+
 class TestFreezing:
     """Each Aberth step refines only the roots still moving: a root leaves
     after its first step below the stop and keeps the value it took."""
@@ -352,7 +358,7 @@ class TestFreezing:
         after_1 = _aberth_refine(beta, seeds, 1)[0]
         assert after_1[c] == tn and after_1[pair[1]] == tn
         roots, _, stopped = _aberth_refine(beta, seeds)
-        assert stopped and not np.any(_repeats(roots))
+        assert stopped and not np.any(repeats(roots))
         assert matched_max_distance(zeros, roots) <= 1e-10 * max(
             1.0, float(np.max(np.abs(zeros))))
 
@@ -369,15 +375,16 @@ class TestFreezing:
         assert flags([2, 3]) == [[True, False], [True, False]]
         assert flags([1, 3, 4]) == [[False, False, True], [True, False, True]]
         nudged, shared = _collisions(roots, np.arange(5))
-        assert nudged.tolist() == _repeats(roots).tolist()
+        assert nudged.tolist() == [False, False, True, False, True]
         assert shared.tolist() == [True, True, True, False, True]
 
     @staticmethod
     def two_sorts(roots, moving):
-        """_collisions as first written: _repeats forward and reversed."""
+        """_collisions as first written: the repeat flags (each entry equal
+        to an earlier one) forward and reversed."""
         frozen = np.delete(roots, moving)
         zs = np.concatenate((frozen, roots[moving]))
-        earlier, later = _repeats(zs), _repeats(zs[::-1])[::-1]
+        earlier, later = repeats(zs), repeats(zs[::-1])[::-1]
         return earlier[frozen.size:], (earlier | later)[frozen.size:]
 
     def test_collisions_equal_the_two_sort_form(self):
@@ -406,7 +413,9 @@ class TestFreezing:
 
 
 class TestRepeats:
-    """_repeats flags what the N x N comparison it replaced flagged."""
+    """_collisions with every root moving flags, as its first flag, what the
+    N x N comparison it replaced flagged: each entry equal to an earlier
+    one."""
 
     @staticmethod
     def pairwise(z):
@@ -428,7 +437,7 @@ class TestRepeats:
     ])
     def test_equal_to_the_pairwise_form(self, z):
         z = np.array(z, dtype=complex)
-        assert _repeats(z).tolist() == self.pairwise(z).tolist()
+        assert repeats(z).tolist() == self.pairwise(z).tolist()
 
     def test_random_draws_from_a_small_pool(self):
         rng = np.random.Generator(np.random.Philox(11))
@@ -436,7 +445,7 @@ class TestRepeats:
         for size in (2, 7, 50, 400):
             z = np.empty(size, dtype=complex)
             z.real, z.imag = rng.choice(pool, size), rng.choice(pool, size)
-            assert _repeats(z).tolist() == self.pairwise(z).tolist()
+            assert repeats(z).tolist() == self.pairwise(z).tolist()
 
 
 class TestSeeding:
