@@ -5,12 +5,20 @@ Exit codes: 0 success, 1 usage error, 2 invalid input, 3 tolerance failure
 Artifacts are written under <out>/<command>/<input-hash>-<run-hash>/, the
 run hash covering the parameters and the seed, and each embeds its run
 manifest; re-running with the same manifest reproduces identical
-bytes on one numpy/BLAS build and BLAS thread count (see
-problemio.RunManifest).  The output root comes from --out, else the
-PERTURBLAB_OUT environment variable, else ./out.
+bytes on one numpy/BLAS build (see problemio.RunManifest): the BLAS and
+OpenMP pools are pinned to one thread before numpy is first imported, so
+the thread settings of the environment do not reach the artifacts.  The
+output root comes from --out, else the PERTURBLAB_OUT environment
+variable, else ./out.
 """
 
 import os
+
+# LAPACK results depend on the BLAS thread count; one thread, set before
+# numpy is first imported, makes every artifact independent of it
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import sys
 from dataclasses import asdict
 from pathlib import Path

@@ -190,22 +190,44 @@ class SynthesisDefect:
 
 def _worst_defect(eigsys: Eigensystem, total, rows_for):
     """Worst defect over partitions 0..total-1, and total; rows_for(start,
-    stop) gives them as rows of indices into [f | g] (J1, then n + J2)."""
+    stop) gives them as rows of indices into [f | g] (J1, then n + J2).
+
+    The screen (see enumerate_partitions): a partition's A^H A is the
+    principal submatrix H_P of the Gram H of the unit columns, and once a
+    running worst s* exists a block is skipped when Cholesky of every
+    H_P - tau I in it completes, tau = (s*(1 + 1e-6) + delta)^2 + delta
+    with delta = 16 (n + 1)^3 eps for the rounding of H, the Cholesky and
+    the SVD (||H_P|| <= n).  Non-finite columns turn the screen off, since
+    LAPACK's Cholesky need not reject a NaN.
+    """
     x = (np.concatenate([eigsys.model_vectors.T, eigsys.left_vectors.T])
          * np.sqrt(eigsys.weights))
     norms = np.sqrt(np.sum(x.real * x.real + x.imag * x.imag, axis=1))
     unit = x / np.where(norms == 0, 1.0, norms)[:, None]
     n = eigsys.eigenvalues.size
     step = max(1, BATCH_ELEMENTS // (n * x.shape[1]))
-    row = s = None
+    # a single block (synthesis_defect's batch of one) has nothing to screen
+    gram = (np.conj(unit) @ unit.T
+            if total > step and np.all(np.isfinite(unit)) else None)
+    delta = 16.0 * (n + 1) ** 3 * np.finfo(float).eps
+    row = s = shifted = None
     for start in range(0, total, step):
         rows = rows_for(start, min(start + step, total))
         if np.any(norms[rows] == 0):
             raise NotBiorthogonal("zero column in the mixed system")
+        if shifted is not None:
+            try:
+                np.linalg.cholesky(shifted[rows[:, :, None], rows[:, None, :]])
+                continue
+            except np.linalg.LinAlgError:
+                pass
         block = np.linalg.svd(unit[rows].transpose(0, 2, 1), compute_uv=False)
         i = np.argmin(block[:, -1])
         if row is None or block[i, -1] < s[-1]:
             row, s = rows[i], block[i]
+            if gram is not None:
+                tau = (s[-1] * (1.0 + 1e-6) + delta) ** 2 + delta
+                shifted = gram - tau * np.eye(2 * n)
     partition = (tuple(int(j) for j in row if j < n),
                  tuple(int(j) - n for j in row if j >= n))
     cond = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
@@ -232,7 +254,15 @@ def enumerate_partitions(eigsys: Eigensystem, budget=10000, seed=0):
     shared with synthesis_defect, normalizes the 2n columns [f | g] sqrt(mu)
     once (norms summed in real arithmetic, independent of column position)
     and takes one batched SVD per block of at most BATCH_ELEMENTS entries;
-    bits are made block by block, so the whole table never exists.
+    bits are made block by block, so the whole table never exists.  After
+    the first block, one batched Cholesky of the blocks' shifted Gram
+    submatrices screens each block: where it completes, no partition in
+    the block can go below the running worst (a completed floating-point
+    Cholesky certifies positive definiteness up to its backward error:
+    Demmel, LAPACK Working Note 14, 1989; Higham, Accuracy and Stability
+    of Numerical Algorithms, Thm 10.7), and the block's SVD is skipped.
+    The shift's margin covers the rounding of the Gram, the Cholesky and
+    the SVD, so the report is the one an SVD of every partition gives.
     """
     n = eigsys.eigenvalues.size
     if n > 12 and budget < 1:

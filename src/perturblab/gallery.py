@@ -254,6 +254,8 @@ def section4_build(t_seq, truncation, dps=SECTION4_DPS):
         raise ExhaustedInput("need at least 6 (and `truncation`) atoms")
     if np.any(t_np <= 0):
         raise BadParameters("constructed part needs positive atoms")
+    if not np.all(np.diff(t_np) > 0):
+        raise BadParameters("constructed part needs strictly increasing atoms")
     with mp.workdps(dps):
         t = [mp.mpf(x) for x in t_np]
         k_atoms = len(t)

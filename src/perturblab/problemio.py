@@ -142,11 +142,14 @@ class RunManifest:
     """Reproducibility record embedded in every artifact.
 
     An identical manifest reruns to bit-identical artifacts on one
-    numpy/BLAS build with one BLAS thread count: summation order,
-    eigensolver settings and sampled partitions are all fixed by the inputs
-    and the seed.  Neither the build nor the thread count is recorded, and
-    LAPACK results depend on both: spectrum's oracle and the sharp
-    eigensolve fallback differ between OPENBLAS_NUM_THREADS=1 and =2.
+    numpy/BLAS build: summation order, eigensolver settings and sampled
+    partitions are all fixed by the inputs and the seed, and the command
+    line pins BLAS to one thread before numpy is imported, so
+    OPENBLAS_NUM_THREADS and its kin do not change the bytes.  The build is
+    not recorded, and LAPACK results depend on it.  A process that imports
+    numpy before perturblab.cli keeps its own thread count, and with more
+    than one thread spectrum's oracle and the sharp eigensolve fallback
+    can differ in the last bits.
     """
 
     command: str

@@ -30,16 +30,16 @@ def problem_file(tmp_path):
     return path
 
 
-def run_fresh(argv, out):
+def run_fresh(argv, out, **env_vars):
     """The CLI in a fresh interpreter, so an uncaught exception would show
-    as a traceback on stderr."""
+    as a traceback on stderr; env_vars are set in its environment."""
     import os
     import subprocess
     import sys
 
     import perturblab
     src = os.path.dirname(os.path.dirname(perturblab.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **env_vars)
     return subprocess.run(
         [sys.executable, "-m", "perturblab.cli", "--quiet", "--out", str(out)]
         + [str(a) for a in argv], capture_output=True, text=True, env=env)
@@ -85,6 +85,17 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "BadParameters" in proc.stderr
+
+    def test_section4_repeated_atom_exit_two(self, tmp_path):
+        # a repeated atom of the doubling subsequence once divided by zero
+        spec = tmp_path / "spectrum.json"
+        spec.write_text(json.dumps([1, 2, 3, 3, 4, 5, 6, 7, 8, 9, 10]))
+        proc = run_fresh(["gallery", "section4", "--spectrum", spec,
+                          "--k", "10"], tmp_path / "out")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "strictly increasing" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["diagnose", "volterra-window", "{problem}", "--rect=3,1,0,1"],
@@ -393,6 +404,30 @@ class TestReproducibility:
         f1 = next((tmp_path / "a" / "spectrum").glob("*/spectrum.json"))
         f2 = next((tmp_path / "b" / "spectrum").glob("*/spectrum.json"))
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("instance", ["separated-300", "sharp-400"])
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, instance):
+        # both differed between one and two threads before the CLI pinned
+        # BLAS: the oracle everywhere, the model zeros through the sharp
+        # instance's eigensolve fallback
+        from conftest import separated_instance
+        from perturblab.gallery import sharp_instance
+
+        data = (separated_instance(np.random.Generator(np.random.Philox(5)),
+                                   300)
+                if instance == "separated-300"
+                else sharp_instance(1.0, 0.0, 0.0, 400).data)
+        path = tmp_path / "problem.json"
+        path.write_text(serialize_problem(data))
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = run_fresh(["spectrum", path], out,
+                             OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            trees.append({f.relative_to(out): f.read_bytes()
+                          for f in out.rglob("*") if f.is_file()})
+        assert trees[0] and trees[0] == trees[1]
 
     def test_env_var_output_root(self, tmp_path, problem_file, monkeypatch):
         monkeypatch.setenv("PERTURBLAB_OUT", str(tmp_path / "envout"))

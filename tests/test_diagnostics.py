@@ -331,6 +331,97 @@ class TestSynthesisDefect:
             enumerate_partitions(es)
 
 
+def unscreened_worst(es, bits):
+    """(partition, sigma_min, condition) of the first smallest sigma_min
+    over the partitions given as rows of bits (1 puts the index into J2),
+    by a batched SVD of every one of them."""
+    n = es.eigenvalues.size
+    x = (np.concatenate([es.model_vectors.T, es.left_vectors.T])
+         * np.sqrt(es.weights))
+    unit = x / np.sqrt(np.sum(x.real * x.real + x.imag * x.imag,
+                              axis=1))[:, None]
+    rows = np.sort(np.arange(n) + n * bits, axis=1)
+    s = np.concatenate([
+        np.linalg.svd(unit[rows[i:i + 64]].transpose(0, 2, 1),
+                      compute_uv=False)
+        for i in range(0, len(rows), 64)])
+    i = int(np.argmin(s[:, -1]))
+    part = (tuple(np.flatnonzero(bits[i] == 0)),
+            tuple(np.flatnonzero(bits[i] == 1)))
+    return part, s[i, -1], s[i, 0] / s[i, -1]
+
+
+def assert_same_worst(worst, reference):
+    part, sigma, cond = reference
+    assert worst.partition == part
+    assert worst.sigma_min.hex() == float(sigma).hex()
+    assert worst.gram_condition.hex() == float(cond).hex()
+
+
+def sweep_counting_svds(monkeypatch, es):
+    """enumerate_partitions(es) and the number of SVD calls it made."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or svd(*a, **k))
+    worst, checked = enumerate_partitions(es)
+    monkeypatch.undo()
+    return worst, checked, len(calls)
+
+
+class TestSynthesisScreen:
+    """The Cholesky screen skips only blocks that cannot beat the running
+    worst, so the sweep matches an SVD of every partition bit for bit."""
+
+    #: blocks of the exhaustive sweep at n = 12: 4096 partitions, 28 a block
+    BLOCKS_12 = -(-4096 // (BATCH_ELEMENTS // 144))
+
+    @staticmethod
+    def exhaustive_bits(n):
+        return (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+
+    @pytest.mark.parametrize("n", [16, 30, 60])
+    def test_sharp_sampled(self, n):
+        # the 300 draws are the first 300 of the 2000: one stream
+        es = eigensystem(sharp_instance(1.0, 0.0, 0.0, n).data)
+        bits = np.random.Generator(np.random.Philox(3)).integers(
+            0, 2, size=(2000, n))
+        for budget in (300, 2000):
+            worst, checked = enumerate_partitions(es, budget=budget, seed=3)
+            assert checked == budget
+            assert_same_worst(worst, unscreened_worst(es, bits[:budget]))
+
+    def test_worst_below_the_margin_falls_back_to_svds(self, monkeypatch):
+        # f_11 = f_10 + 1e-8 f_9: a partition with 10 and 11 in J1 has
+        # sigma_min of 1e-8 or less (singular to rounding with 9 in J1 too),
+        # below sqrt(delta) = 2.8e-6 at n = 12, so the blocks of the first
+        # 1024 masks (37) fail the screen and the others can pass it
+        es = eigensystem(separated(12))
+        es.model_vectors[:, 11] = (es.model_vectors[:, 10]
+                                   + 1e-8 * es.model_vectors[:, 9])
+        worst, checked, calls = sweep_counting_svds(monkeypatch, es)
+        reference = unscreened_worst(es, self.exhaustive_bits(12))
+        assert reference[1] < np.sqrt(16 * 13 ** 3 * np.finfo(float).eps)
+        assert_same_worst(worst, reference)
+        assert 37 <= calls < self.BLOCKS_12
+
+    def test_nan_column_still_reaches_an_svd(self):
+        # LAPACK's Cholesky completes on a NaN pivot, which would skip the
+        # blocks holding g_5 here; with the screen off they fail as before
+        es = eigensystem(separated(12))
+        es.left_vectors[:, 5] = np.nan
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(np.linalg.LinAlgError, match="SVD"):
+            enumerate_partitions(es)
+
+    def test_separated_exhaustive_skips_most_blocks(self, monkeypatch):
+        es = eigensystem(separated(12))
+        worst, checked, calls = sweep_counting_svds(monkeypatch, es)
+        assert checked == 4096
+        assert_same_worst(worst, unscreened_worst(es, self.exhaustive_bits(12)))
+        assert calls <= self.BLOCKS_12 // 10
+
+
 def state_text(rng):
     return json.dumps(rng.bit_generator.state, sort_keys=True,
                       default=lambda a: a.tolist())
