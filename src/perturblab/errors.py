@@ -70,7 +70,7 @@ class NearPole(PerturbLabError):
 
 
 class BisectionFailure(PerturbLabError):
-    """Bracketing bisection failed to locate a zero."""
+    """A bracketed root solve failed to locate a zero in its bracket."""
 
 
 class ExhaustedInput(PerturbLabError):

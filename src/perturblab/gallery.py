@@ -223,13 +223,13 @@ def _doubling_subsequence(t, start=0):
     return idx
 
 
-def _tail_monotone_max_n(u_of_n, n_values, tail_from):
-    """Largest N in n_values with u(N) strictly decreasing on the tail."""
+def _tail_monotone_max_n(w, x):
+    """Largest N in 1..8 such that, for every M <= N, w_j x_j^M (as floats)
+    strictly decreases over the second half of j; 0 if none."""
     best = 0
-    for n_exp in n_values:
-        seq = u_of_n(n_exp)
-        tail = seq[tail_from:]
-        if len(tail) >= 2 and all(x > y for x, y in zip(tail, tail[1:])):
+    for n_exp in range(1, 9):
+        tail = [float(wj * xj ** n_exp) for wj, xj in zip(w, x)][len(w) // 2:]
+        if len(tail) >= 2 and all(a > b for a, b in zip(tail, tail[1:])):
             best = n_exp
         else:
             break
@@ -247,11 +247,12 @@ def section4_build(t_seq, truncation, dps=SECTION4_DPS):
     on a second doubling subsequence, nu_n = 2^n d_n^2 elsewhere.  All
     identity families are checked in `dps`-digit arithmetic.
     """
-    if truncation > 200:
-        raise BadParameters("construction limited to 200 atoms")
+    if not 6 <= truncation <= 200:
+        raise BadParameters(f"truncation must lie in 6..200, got {truncation}")
     t_np = np.sort(np.asarray(t_seq, dtype=float))[:truncation]
-    if t_np.size < truncation or truncation < 6:
-        raise ExhaustedInput("need at least 6 (and `truncation`) atoms")
+    if t_np.size < truncation:
+        raise BadParameters(f"truncation {truncation} needs as many atoms, "
+                            f"got {t_np.size}")
     if np.any(t_np <= 0):
         raise BadParameters("constructed part needs positive atoms")
     if not np.all(np.diff(t_np) > 0):
@@ -263,75 +264,37 @@ def section4_build(t_seq, truncation, dps=SECTION4_DPS):
         if len(n1) < 3:
             raise ExhaustedInput("need at least 3 lacunary points")
         others = [i for i in range(k_atoms) if i not in set(n1)]
+        t1 = [t[i] for i in n1]
 
         # interlacing sum with deterministic weights; nudge away from
         # accidental zeros at the remaining atoms
         v = [mp.mpf(1.5) + mp.mpf(0.25) * mp.sin(k + 1)
              for k in range(len(n1))]
-
-        def b0_over_a0(z, vv):
-            return mp.fsum(vv[k] / (t[n1[k]] - z) for k in range(len(n1)))
-
+        b0_over_a0 = _partial_fraction(v, t1, mp.fsum)
         for _ in range(100):
-            bad = any(abs(b0_over_a0(t[i], v)) < mp.mpf("1e-12")
+            bad = any(abs(b0_over_a0(t[i])) < mp.mpf("1e-12")
                       for i in others)
-            if not bad and abs(b0_over_a0(mp.mpf(0), v)) > mp.mpf("1e-12"):
+            if not bad and abs(b0_over_a0(mp.mpf(0))) > mp.mpf("1e-12"):
                 break
             v = [x + mp.mpf("1e-3") for x in v]
-
-        def a0(z):
-            return mp.fprod(1 - z / t[i] for i in n1)
-
-        def b0(z):
-            return a0(z) * b0_over_a0(z, v)
+            b0_over_a0 = _partial_fraction(v, t1, mp.fsum)
+        a0 = _product(t1, mp.fprod)
 
         # one zero of B0/A0 per gap (the ratio increases from -inf to +inf)
-        zeros = []
-        for k in range(len(n1) - 1):
-            lo, hi = t[n1[k]], t[n1[k + 1]]
-            pad = (hi - lo) * mp.mpf("1e-30")
-            a_, b_ = lo + pad, hi - pad
-            fa, fb = b0_over_a0(a_, v), b0_over_a0(b_, v)
-            if not (fa < 0 < fb or fb < 0 < fa):
-                raise BisectionFailure(f"no sign change in gap {k}")
-            for _ in range(mp.mp.dps * 4):
-                mid = (a_ + b_) / 2
-                fm = b0_over_a0(mid, v)
-                if fm == 0:
-                    a_ = b_ = mid
-                    break
-                if (fm < 0) == (fa < 0):
-                    a_, fa = mid, fm
-                else:
-                    b_, fb = mid, fm
-            zeros.append((a_ + b_) / 2)
-
-        sparse_pos = []
-        j = 0
-        while 2 ** j <= len(zeros):
-            sparse_pos.append(2 ** j)
-            j += 1
+        zeros = [_gap_zero(b0_over_a0, lo, hi) for lo, hi in zip(t1, t1[1:])]
+        sparse_pos = [2 ** j for j in range(len(zeros).bit_length())]
         sparse = [zeros[p - 1] for p in sparse_pos]
 
-        def s_fn(z):
-            return mp.fprod(1 - z / s for s in sparse)
-
-        # the weights q_n and the closed-form coefficients of the partial
-        # fractions of B0/(S A0) and g/A
-        q, p_k, d = _section4_coefficients(t, n1, others, v, sparse,
-                                           mp.fsum, mp.fprod)
-        q_total = mp.fsum(q.values())
+        q, b0_over_sa0, d, s_fn, gamma = _section4_coefficients(
+            t, n1, others, v, sparse, mp.fsum, mp.fprod)
+        q_total = mp.fsum(q)
         if not q_total < 1:
             raise BadParameters(f"sum q_n = {q_total} is not < 1")
 
-        def gamma(z):
-            return 1 + mp.fsum(q[i] / (t[i] - z) for i in others)
-
         def g_over_a(z):
-            return b0_over_a0(z, v) / s_fn(z) * gamma(z)
+            return b0_over_a0(z) / s_fn(z) * gamma(z)
 
-        def a_full(z):
-            return mp.fprod(1 - z / ti for ti in t)
+        a_full = _product(t, mp.fprod)
 
         # residue check: lim (z - t_n) g/A via Richardson at adaptive h.
         # Coefficients span hundreds of orders of magnitude, so the working
@@ -353,21 +316,14 @@ def section4_build(t_seq, truncation, dps=SECTION4_DPS):
                 res = 2 * f2 - f1
                 res_err.append(float(abs(res - d[i]) / abs(d[i])))
 
-        # (arb0) as a pointwise identity off the atoms
+        # (arb0) g/A = sum d_n/(z - t_n) and (arb7) B0/(S A0) = sum
+        # p_k/(t_{n_k} - z), as pointwise identities off the atoms
         probes = [t[0] / 3 + mp.mpf(2) * mp.j, (t[0] + t[1]) / 2,
                   2 * t[-1] + mp.j, -t[-1] / 3 + mp.j / 2]
-        exp_err = 0.0
-        for z in probes:
-            lhs = g_over_a(z)
-            rhs = mp.fsum(d[i] / (z - t[i]) for i in range(k_atoms))
-            exp_err = max(exp_err, float(abs(lhs - rhs) / abs(lhs)))
-
-        # (arb7)-style finite identity: B0/(S A0) = sum p_k/(t_{n_k} - z)
-        pf_err = 0.0
-        for z in probes:
-            lhs = b0_over_a0(z, v) / s_fn(z)
-            rhs = mp.fsum(p_k[k] / (t[n1[k]] - z) for k in range(len(n1)))
-            pf_err = max(pf_err, float(abs(lhs - rhs) / abs(lhs)))
+        exp_err = _worst_rel_error(
+            g_over_a, _partial_fraction([-x for x in d], t, mp.fsum), probes)
+        pf_err = _worst_rel_error(lambda z: b0_over_a0(z) / s_fn(z),
+                                  b0_over_sa0, probes)
 
         # sandwich constants on a grid: the exhibited C1, C2 satisfy
         # C1 * env^2 <= |g/A| |S| <= C2 / env^2 with env = |Im z|/(|z|^2+1)
@@ -400,28 +356,18 @@ def section4_build(t_seq, truncation, dps=SECTION4_DPS):
 
         weight_outside_n2 = float(mp.fsum(nu[i] for i in range(k_atoms)
                                           if i not in n2set))
-        inv_t_n2 = np.cumsum([1.0 / float(t[i]) for i in n2]) if n2 else \
-            np.array([])
+        inv_t_n2 = np.cumsum([1.0 / float(t[i]) for i in n2])
+        nu_over_a = _partial_fraction(nu, t, mp.fsum)
 
         def b_full(z):
-            return a_full(z) * mp.fsum(nu[i] / (t[i] - z)
-                                       for i in range(k_atoms))
-
-        def e_fn(z):
-            return a_full(z) - mp.j * b_full(z)
+            return a_full(z) * nu_over_a(z)
 
         # decay checks (tail-monotone) for the two index families
-        def u_others(n_exp):
-            return [float(mp.mpf(2) ** (i + 1) * abs(d[i]) * t[i] ** n_exp)
-                    for i in others]
-
-        def u_lac(n_exp):
-            return [float(mp.mpf(2) ** (k + 1) * abs(d[n1[k]])
-                          * t[n1[k]] ** n_exp) for k in range(len(n1))]
-
-        arb1_max = _tail_monotone_max_n(u_others, range(1, 9),
-                                        len(others) // 2)
-        arb2_max = _tail_monotone_max_n(u_lac, range(1, 9), len(n1) // 2)
+        arb1_max = _tail_monotone_max_n(
+            [mp.mpf(2) ** (i + 1) * abs(d[i]) for i in others],
+            [t[i] for i in others])
+        arb2_max = _tail_monotone_max_n(
+            [mp.mpf(2) ** (k + 1) * abs(d[i]) for k, i in enumerate(n1)], t1)
 
         # largest index at which plain float64 still reproduces d and a
         # nonzero nu to 1e-8 (nu underflows first, to 0.0 or subnormals)
@@ -438,15 +384,16 @@ def section4_build(t_seq, truncation, dps=SECTION4_DPS):
                 and held(float(nu[max_k]), nu[max_k]):
             max_k += 1
 
-        evaluators = {"A0": a0, "B0": b0, "S": s_fn, "gamma": gamma,
-                      "g_over_A": g_over_a, "A": a_full, "B": b_full,
-                      "E": e_fn}
+        evaluators = {"A0": a0, "B0": lambda z: a0(z) * b0_over_a0(z),
+                      "S": s_fn, "gamma": gamma, "g_over_A": g_over_a,
+                      "A": a_full, "B": b_full,
+                      "E": lambda z: a_full(z) - mp.j * b_full(z)}
         return Section4Pipeline(
             t=t_np, n1_indices=tuple(n1), n2_indices=tuple(n2),
             v=np.array([float(x) for x in v]),
             b0_zeros=np.array([float(z) for z in zeros]),
             sparse_zero_indices=tuple(sparse_pos),
-            q=[q[i] for i in others], d=d, nu=nu,
+            q=q, d=d, nu=nu,
             residue_rel_errors=np.array(res_err),
             partial_fraction_rel_error=pf_err,
             expansion_rel_error=exp_err,
@@ -459,24 +406,57 @@ def section4_build(t_seq, truncation, dps=SECTION4_DPS):
             evaluators=evaluators)
 
 
-def _section4_coefficients(t, n1, others, v, sparse, fsum, fprod):
-    """The weights q_n (a dict over others), the partial-fraction
-    coefficients p_k of B0/(S A0) and the coefficients d_n of g/A, in the
-    arithmetic of t's entries: section4_build's extended precision (mpf
-    with mp.fsum, mp.fprod) or float64 (with sum, math.prod)."""
-    def s_fn(z):
-        return fprod(1 - z / s for s in sparse)
+def _partial_fraction(coeffs, poles, fsum, c0=0):
+    """z -> c0 + sum_k coeffs[k]/(poles[k] - z), summed in order by fsum."""
+    return lambda z: c0 + fsum(c / (x - z) for c, x in zip(coeffs, poles))
 
-    p = [v[k] / s_fn(t[i]) for k, i in enumerate(n1)]
+
+def _product(roots, fprod):
+    """z -> prod_k (1 - z/x_k) over the roots x_k, in order by fprod."""
+    return lambda z: fprod(1 - z / x for x in roots)
+
+
+def _worst_rel_error(lhs, rhs, points):
+    """The largest |lhs(z) - rhs(z)|/|lhs(z)| over the points, as a float."""
+    return max(float(abs(a - b) / abs(a))
+               for a, b in ((lhs(z), rhs(z)) for z in points))
+
+
+def _gap_zero(f, lo, hi):
+    """The zero of f in the gap (lo, hi), across which f changes sign, by a
+    bracketed Ridders solve in the working precision."""
+    pad = (hi - lo) * mp.mpf("1e-30")
+    a_, b_ = lo + pad, hi - pad
+    if not f(a_) * f(b_) < 0:
+        raise BisectionFailure(f"no sign change in ({lo}, {hi})")
+    try:
+        x = mp.findroot(f, (a_, b_), solver="ridder", verify=True)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BisectionFailure(f"Ridders solve in ({lo}, {hi}) failed: {exc}")
+    if not lo < x < hi:     # an infinite or nan x fails this too
+        raise BisectionFailure(f"zero {x} is outside the gap ({lo}, {hi})")
+    return x
+
+
+def _section4_coefficients(t, n1, others, v, sparse, fsum, fprod):
+    """The weights q_n over others, B0/(S A0) as the partial fraction
+    sum_k p_k/(t_{n_k} - z), the coefficients d_n of g/A, S and gamma, in
+    the arithmetic of t's entries: section4_build's extended precision (mpf
+    with mp.fsum, mp.fprod) or float64 (with sum, math.prod)."""
+    s_fn = _product(sparse, fprod)
+    t1 = [t[i] for i in n1]
+    p = [v[k] / s_fn(x) for k, x in enumerate(t1)]
     # q_n = (2 t_n)^{-n} min_k |t_n - t_{n_k}| with 1-based n
-    q = {i: (2 * t[i]) ** (-(i + 1)) * min(abs(t[i] - t[nk]) for nk in n1)
-         for i in others}
+    q = [(2 * t[i]) ** (-(i + 1)) * min(abs(t[i] - x) for x in t1)
+         for i in others]
+    b0_over_sa0 = _partial_fraction(p, t1, fsum)
+    gamma = _partial_fraction(q, [t[i] for i in others], fsum, 1)
     d = [None] * len(t)
     for k, i in enumerate(n1):
-        d[i] = -p[k] * (1 - fsum(q[m] / (t[i] - t[m]) for m in others))
-    for i in others:
-        d[i] = -q[i] * fsum(p[k] / (t[nk] - t[i]) for k, nk in enumerate(n1))
-    return q, p, d
+        d[i] = -p[k] * gamma(t[i])
+    for m, i in enumerate(others):
+        d[i] = -q[m] * b0_over_sa0(t[i])
+    return q, b0_over_sa0, d, s_fn, gamma
 
 
 # ---------------------------------------------------------------------------

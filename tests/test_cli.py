@@ -158,12 +158,20 @@ class TestExitCodes:
         ["diagnose", "growth", "{problem}", "--npoints", "1"],
         ["diagnose", "growth", "{problem}", "--ymax", "inf"],
         ["diagnose", "mass", "{problem}", "--zeta", "2,0"],
+        ["gallery", "section4", "--k", "3"],
+        ["gallery", "section4", "--k", "0"],
+        ["gallery", "section4", "--k", "201"],
+        ["gallery", "section4", "--spectrum", "{spectrum}", "--k", "12"],
     ])
     def test_out_of_range_parameter_exit_two(self, tmp_path, problem_file,
                                              argv, capsys):
-        # an empty sum or grid would end in a traceback or a nan, and mass
-        # refuses the zeta that clark refuses
-        argv = [a.format(problem=problem_file) for a in argv]
+        # an empty sum or grid would end in a traceback or a nan, mass
+        # refuses the zeta that clark refuses, and section4 takes 6 to 200
+        # atoms, as many as its truncation
+        spectrum = tmp_path / "spectrum.json"
+        spectrum.write_text(json.dumps(list(range(1, 11))))
+        argv = [a.format(problem=problem_file, spectrum=spectrum)
+                for a in argv]
         assert main(["--quiet", "--out", str(tmp_path / "out")] + argv) == 2
         assert "BadParameters" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

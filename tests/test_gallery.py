@@ -2,12 +2,14 @@
 
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from perturblab.errors import (BadParameters, ExhaustedInput, NearPole,
-                               NotLacunary)
-from perturblab.gallery import (_check_lacunary, cos_pi_sqrt,
+from perturblab import gallery
+from perturblab.errors import (BadParameters, BisectionFailure,
+                               ExhaustedInput, NearPole, NotLacunary)
+from perturblab.gallery import (_check_lacunary, _gap_zero, cos_pi_sqrt,
                                 lacunary_sequence, mittag_leffler_check,
                                 section4_build, sharp_instance,
                                 sharp_zero_freeness, synthesis_gap_check)
@@ -170,6 +172,27 @@ class TestSection4:
         assert pipe.partial_fraction_rel_error <= 1e-12
         assert pipe.expansion_rel_error <= 1e-12
 
+    def test_report_is_pinned(self, pipe):
+        # bit for bit, but for the two identity errors: they sit at the
+        # rounding level of the 60-digit arithmetic and follow the last
+        # bits of the B0 zeros, so they are bounded instead
+        assert pipe.n1_indices == (0, 2, 6, 14)
+        assert pipe.n2_indices == (1, 4, 11, 24)
+        assert pipe.b0_zeros.tolist() == [
+            1.8804321652259288, 5.412284718476613, 12.771151991027285]
+        assert pipe.sparse_zero_indices == (1, 2)
+        assert pipe.residue_rel_errors.max() == 9.542890315935134e-27
+        assert pipe.partial_fraction_rel_error <= 1e-50
+        assert pipe.expansion_rel_error <= 1e-50
+        assert (pipe.sandwich_c1, pipe.sandwich_c2) == (
+            71.253391863082, 0.017215814491622697)
+        assert pipe.q_total == 0.06276447576618993
+        assert (pipe.arb1_max_n, pipe.arb2_max_n) == (8, 2)
+        assert pipe.weight_sum_outside_n2 == 63.544778401024175
+        assert pipe.inv_t_n2_partial.tolist() == [
+            0.5, 0.7, 0.7833333333333333, 0.8233333333333334]
+        assert pipe.double_precision_max_k == 30
+
     def test_q_budget(self, pipe):
         assert 0 < pipe.q_total < 1
 
@@ -224,6 +247,72 @@ class TestSection4:
             assert abs(mp.mpf(nu[max_k]) - pipe.nu[max_k]) > \
                 1e-8 * pipe.nu[max_k]
             assert np.count_nonzero(nu == 0.0) == 42
+
+
+def bisection_zero(f, lo, hi):
+    """The B0 zero of one gap as first found: 4 dps bisection steps from
+    the padded gap, in the working precision."""
+    pad = (hi - lo) * mp.mpf("1e-30")
+    a_, b_ = lo + pad, hi - pad
+    fa = f(a_)
+    for _ in range(mp.mp.dps * 4):
+        mid = (a_ + b_) / 2
+        fm = f(mid)
+        if fm == 0:
+            return mid
+        if (fm < 0) == (fa < 0):
+            a_, fa = mid, fm
+        else:
+            b_ = mid
+    return (a_ + b_) / 2
+
+
+class TestGapZeros:
+    @pytest.mark.parametrize("power, k, dps", [
+        (1, 30, 60), (1, 60, 60), (1, 120, 60), (2, 60, 90)])
+    def test_ridders_matches_bisection(self, monkeypatch, power, k, dps):
+        solves = []
+
+        def recorded(f, lo, hi):
+            x = _gap_zero(f, lo, hi)
+            solves.append((x, bisection_zero(f, lo, hi)))
+            return x
+
+        monkeypatch.setattr(gallery, "_gap_zero", recorded)
+        pipe = section4_build(np.arange(1.0, k + 1.0) ** power, k, dps=dps)
+        assert len(solves) == pipe.b0_zeros.size >= 3
+        for (x, ref), zero in zip(solves, pipe.b0_zeros):
+            assert float(x) == float(ref) == zero
+            assert abs(x - ref) <= mp.mpf(10) ** (2 - dps) * abs(ref)
+
+    def test_no_sign_change(self):
+        with pytest.raises(BisectionFailure, match="no sign change"):
+            _gap_zero(lambda z: (z - 3) ** 2 + 1, mp.mpf(1), mp.mpf(5))
+
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+    def test_solver_error(self, monkeypatch, tmp_path, capsys, error):
+        from perturblab.cli import main
+
+        def failing(*args, **kwargs):
+            raise error("no convergence")
+
+        monkeypatch.setattr(mp, "findroot", failing)
+        with pytest.raises(BisectionFailure, match="no convergence"):
+            section4_build(np.arange(1.0, 9.0), 8)
+        assert main(["--quiet", "--out", str(tmp_path / "out"), "gallery",
+                     "section4", "--k", "8"]) == 4
+        assert "BisectionFailure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("zero", [
+        lambda a_, b_: b_ + 1, lambda a_, b_: a_ - 1, lambda a_, b_: mp.inf,
+        lambda a_, b_: mp.nan])
+    def test_zero_outside_the_gap(self, monkeypatch, zero):
+        def solve(f, bracket, **kwargs):
+            return zero(*bracket)
+
+        monkeypatch.setattr(mp, "findroot", solve)
+        with pytest.raises(BisectionFailure, match="outside the gap"):
+            section4_build(np.arange(1.0, 9.0), 8)
 
 
 class TestGapChecks:
