@@ -62,11 +62,15 @@ PANEL_POINTS = BATCH_ELEMENTS // 4
 #: bisection depth at which adaptive_panel accepts a panel as it is
 MAX_DEPTH = 24
 
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+#: nodes and weights of one panel: an n-point rule converges geometrically
+#: in n on integrands analytic near the panel, and adaptive_panel bisects
+#: where they are not (64 nodes cost half as many points again and found no
+#: other window count)
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 def gauss_legendre(fn, panels):
-    """The 64-point Gauss-Legendre integral of fn over each (a, b) panel.
+    """The GL_NODES.size-point Gauss-Legendre integral of fn on each panel.
 
     fn maps an array of points to an array of values; the nodes of whole
     panels go through it in calls of at most PANEL_POINTS points.  Returns
@@ -86,21 +90,21 @@ def gauss_legendre(fn, panels):
 
 
 def adaptive_panel(fn, panels, tol, wholes=None):
-    """64-point panels, bisected until two levels agree within tol.
+    """Gauss-Legendre panels, bisected until two levels agree within tol.
 
     Resolves spikes, such as those of phi'/phi from zeros sitting just off
     a window edge, which a fixed panel count can step over.  Each (a, b) of
     panels is integrated with the tolerance tol, halved at each bisection;
-    wholes, when given, are their 64-point integrals, computed by the
+    wholes, when given, are their gauss_legendre integrals, computed by the
     caller.  The refinement runs level by level: the nodes of every panel
     still open at a level (the panel, unless its integral is known, and
-    its two halves: 192 points at the top and 128 below) go through
-    gauss_legendre together.  A panel is accepted when its halves agree
-    with it within its tolerance, at depth MAX_DEPTH or when their sum is
-    not finite; the sums then run up the bisection tree, each parent the
-    sum of its two children.  The tolerance has a floor, the rounding
-    level of the halves' integrals: for each half, with centre c and
-    half-width h, 64 eps |h| sum(GL_WEIGHTS |fn|) for the values and,
+    its two halves: 3n points at the top and 2n below, n = GL_NODES.size)
+    go through gauss_legendre together.  A panel is accepted when its
+    halves agree with it within its tolerance, at depth MAX_DEPTH or when
+    their sum is not finite; the sums then run up the bisection tree, each
+    parent the sum of its two children.  The tolerance has a floor, the
+    rounding level of the halves' integrals: for each half, with centre c
+    and half-width h, n eps |h| sum(GL_WEIGHTS |fn|) for the values and,
     once the levels agree to half the digits, eps |c| mean|fn(x_i+1) -
     fn(x_i)| for the nodes, which round to within eps |c| of their places.
     Below it the levels cannot agree, and a tolerance halved further
@@ -141,8 +145,8 @@ def adaptive_panel(fn, panels, tol, wholes=None):
             size, shift = l_size + r_size, l_shift + r_shift
             # the nodes' rounding counts once the levels agree to half the
             # digits, where fn is resolved between the nodes
-            floor = eps * 64 * size + (eps * shift if err <= 2.0 ** -26 * size
-                                       else 0.0)
+            floor = eps * GL_NODES.size * size + (
+                eps * shift if err <= 2.0 ** -26 * size else 0.0)
             if (err <= max(tol, floor) or depth >= MAX_DEPTH
                     or not np.isfinite(split)):
                 results[node] = (split, err)

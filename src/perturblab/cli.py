@@ -53,6 +53,31 @@ def _parse_complex(text):
     return z
 
 
+def _parse_finite(text, what):
+    """A finite float given as text, else BadParameters naming what."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise BadParameters(f"{what} must be a number, got {text!r}")
+    if not np.isfinite(x):
+        raise BadParameters(f"{what} must be finite, got {text!r}")
+    return x
+
+
+class _FiniteFloat(click.ParamType):
+    """A float option that must be finite: nan or inf exits 2, as with
+    _parse_complex; text that is no number stays a usage error."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        return _parse_finite(click.FLOAT.convert(value, param, ctx),
+                             param.opts[0])
+
+
+FINITE = _FiniteFloat()
+
+
 def _parse_rect(text):
     """The four floats of a --rect 'x1,x2,y1,y2' option."""
     parts = str(text).split(",")
@@ -103,7 +128,7 @@ class Settings:
 
 @click.group()
 @click.version_option(__version__)
-@click.option("--tol", type=float, default=None,
+@click.option("--tol", type=FINITE, default=None,
               help="Override the default tolerance of the command.")
 @click.option("--out", type=click.Path(file_okay=False), default=None,
               help="Output root (default: $PERTURBLAB_OUT or ./out).")
@@ -160,14 +185,14 @@ def model_group():
               help="Evaluation point 're,im' (repeatable).")
 @click.option("--real-grid", default=None,
               help="Real grid 'start:stop:count' evaluated at height --imag.")
-@click.option("--imag", type=float, default=0.0, show_default=True)
+@click.option("--imag", type=FINITE, default=0.0, show_default=True)
 @click.option("--delta", default="auto", show_default=True,
               help="Free real constant of rho ('auto' = canonical).")
 @click.pass_obj
 def model_eval(cfg, problem, which, points, real_grid, imag, delta):
     """Emit CSV rows (re z, im z, re F, im F)."""
     text, data = _load_rank_one(problem, "model eval")
-    dl = delta if delta == "auto" else float(delta)
+    dl = delta if delta == "auto" else _parse_finite(delta, "--delta")
     m = build_model(data, delta=dl)
     zs = [_parse_complex(p) for p in points]
     # the grid follows from real_grid and imag, so the manifest (whose
@@ -176,7 +201,11 @@ def model_eval(cfg, problem, which, points, real_grid, imag, delta):
     if real_grid:
         try:
             start, stop, count = real_grid.split(":")
-            grid = np.linspace(float(start), float(stop), int(count))
+            ends = float(start), float(stop)
+            if not np.all(np.isfinite(ends)):
+                raise BadParameters(f"--real-grid ends must be finite, got "
+                                    f"{real_grid!r}")
+            grid = np.linspace(*ends, int(count))
         except ValueError:
             raise click.UsageError("--real-grid expects 'start:stop:count'")
         zs.extend(complex(x, imag) for x in grid)
@@ -285,7 +314,7 @@ def diagnose_group():
 
 @diagnose_group.command("growth")
 @click.argument("problem", type=click.Path(exists=True))
-@click.option("--ymax", type=float, default=1e4, show_default=True)
+@click.option("--ymax", type=FINITE, default=1e4, show_default=True)
 @click.option("--npoints", type=int, default=200, show_default=True)
 @click.option("--csv/--no-csv", default=False, show_default=True)
 @click.pass_obj
@@ -312,9 +341,9 @@ def growth_cmd(cfg, problem, ymax, npoints, csv):
 
 @diagnose_group.command("integral")
 @click.argument("problem", type=click.Path(exists=True))
-@click.option("--n", "n_weight", type=float, default=2.0, show_default=True)
-@click.option("--tau", type=float, default=1.0, show_default=True)
-@click.option("--eta", type=float, default=1.0, show_default=True)
+@click.option("--n", "n_weight", type=FINITE, default=2.0, show_default=True)
+@click.option("--tau", type=FINITE, default=1.0, show_default=True)
+@click.option("--eta", type=FINITE, default=1.0, show_default=True)
 @click.pass_obj
 def integral_cmd(cfg, problem, n_weight, tau, eta):
     text, data = _load_rank_one(problem, "diagnose integral")

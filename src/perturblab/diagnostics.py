@@ -47,12 +47,17 @@ def growth_profile(model: ModelPair, y_max=1e4, n_points=200):
     y |phi(iy)|; the exponent is a least-squares fit of log|phi| against
     log y over the top decade of the grid, and the exact asymptotic exponent
     is read off the partial-fraction data (ModelPair.exponent_at_infinity).
-    y_max must be finite and at least 10, and n_points at least 2.
+    y_max must be finite and at least 10, and n_points at least 2; the
+    grid's top, which may round a few ulps above y_max, must not exceed
+    sqrt of the largest float (1.34e154), where the margins' y^2 overflows.
     """
     if not (np.isfinite(y_max) and y_max >= 10.0 and n_points >= 2):
         raise BadParameters(f"need a finite y_max >= 10 and n_points >= 2, "
                             f"got {y_max} and {n_points}")
     y = np.logspace(0.0, np.log10(y_max), n_points)
+    if y[-1] > np.sqrt(np.finfo(float).max):
+        raise BadParameters(f"y_max {y_max} is too large: y^2 overflows "
+                            f"above 1.34e154")
     phi = cabs(model.phi(1j * y))
     beta = cabs(model.beta(1j * y))
     phit = cabs(model.phi_tilde(1j * y))

@@ -137,16 +137,30 @@ def input_hash(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _numerical_build():
+    """The numpy version and the BLAS name and version numpy was built with
+    (None where numpy does not report them)."""
+    blas = getattr(np.__config__, "CONFIG", {}).get(
+        "Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__, "blas": blas.get("name"),
+            "blas_version": blas.get("version")}
+
+
+#: the numerical build every artifact of this process is computed with
+NUMERICAL_BUILD = _numerical_build()
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Reproducibility record embedded in every artifact.
 
-    An identical manifest reruns to bit-identical artifacts on one
-    numpy/BLAS build: summation order, eigensolver settings and sampled
-    partitions are all fixed by the inputs and the seed, and the command
-    line pins BLAS to one thread before numpy is imported, so
-    OPENBLAS_NUM_THREADS and its kin do not change the bytes.  The build is
-    not recorded, and LAPACK results depend on it.  A process that imports
+    An identical manifest reruns to bit-identical artifacts: summation
+    order, eigensolver settings and sampled partitions are all fixed by the
+    inputs and the seed, and the command line pins BLAS to one thread
+    before numpy is imported, so OPENBLAS_NUM_THREADS and its kin do not
+    change the bytes.  The manifest records the numpy/BLAS build, since
+    LAPACK results depend on it; the build stays out of the run hash, so
+    another build writes to the same directory.  A process that imports
     numpy before perturblab.cli keeps its own thread count, and with more
     than one thread spectrum's oracle and the sharp eigensolve fallback
     can differ in the last bits.
@@ -165,6 +179,7 @@ class RunManifest:
             "input_hash": self.input_hash,
             "seed": int(self.seed),
             "tool_version": self.tool_version,
+            "build": NUMERICAL_BUILD,
         }
 
 

@@ -138,6 +138,8 @@ class TestExitCodes:
         (["diagnose", "synthesis", "{problem}", "--partition", "0|x"],
          "BadParameters"),
         (["gallery", "lacunary", "--spectrum", "{inf}"], "InvalidProblem"),
+        (["model", "eval", "{problem}", "--z", "1,1", "--delta", "x"],
+         "BadParameters"),
     ])
     def test_unparsable_input_exit_two(self, problem_file, argv, error):
         text = problem_file.parent / "spectrum.txt"
@@ -172,6 +174,30 @@ class TestExitCodes:
         spectrum.write_text(json.dumps(list(range(1, 11))))
         argv = [a.format(problem=problem_file, spectrum=spectrum)
                 for a in argv]
+        assert main(["--quiet", "--out", str(tmp_path / "out")] + argv) == 2
+        assert "BadParameters" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--tol", "nan", "spectrum", "{problem}"],
+        ["--tol", "inf", "compare", "{problem}"],
+        ["model", "eval", "{problem}", "--z", "1,1", "--imag", "nan"],
+        ["model", "eval", "{problem}", "--real-grid", "nan:1:3"],
+        ["model", "eval", "{problem}", "--real-grid", "0:-inf:3"],
+        ["model", "eval", "{problem}", "--z", "1,1", "--delta", "nan"],
+        ["diagnose", "growth", "{problem}", "--ymax", "nan"],
+        ["diagnose", "growth", "{problem}", "--ymax", "1e300"],
+        ["diagnose", "integral", "{problem}", "--n", "nan"],
+        ["diagnose", "integral", "{problem}", "--tau", "inf"],
+        ["diagnose", "integral", "{problem}", "--eta", "nan"],
+        ["diagnose", "integral", "{problem}", "--eta", "-inf"],
+    ])
+    def test_non_finite_option_exit_two(self, tmp_path, problem_file, argv,
+                                        capsys):
+        # each once exited 0: a nan --tol never fired the exit-3 gate,
+        # integral reported a convergent null value, eval wrote nan rows
+        # and growth a null exponent
+        argv = [a.format(problem=problem_file) for a in argv]
         assert main(["--quiet", "--out", str(tmp_path / "out")] + argv) == 2
         assert "BadParameters" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -436,6 +462,27 @@ class TestReproducibility:
             trees.append({f.relative_to(out): f.read_bytes()
                           for f in out.rglob("*") if f.is_file()})
         assert trees[0] and trees[0] == trees[1]
+
+    def test_manifest_records_the_build(self, tmp_path, problem_file,
+                                        monkeypatch):
+        # the numpy/BLAS build is recorded, but another build keys the
+        # same directory: it is left out of the run hash
+        import perturblab.problemio as problemio
+
+        paths = []
+        for build in (problemio.NUMERICAL_BUILD,
+                      {"numpy": "0.0", "blas": "other", "blas_version": "1"}):
+            monkeypatch.setattr(problemio, "NUMERICAL_BUILD", build)
+            out = tmp_path / build["numpy"]
+            assert main(["--quiet", "--out", str(out), "spectrum",
+                         str(problem_file)]) == 0
+            doc, path = read_artifact(out, "spectrum", "spectrum")
+            assert doc["manifest"]["build"] == build
+            paths.append(path.relative_to(out))
+        assert paths[0] == paths[1]
+        recorded = problemio._numerical_build()
+        assert recorded["numpy"] == np.__version__
+        assert recorded["blas"] and recorded["blas_version"]
 
     def test_env_var_output_root(self, tmp_path, problem_file, monkeypatch):
         monkeypatch.setenv("PERTURBLAB_OUT", str(tmp_path / "envout"))

@@ -111,6 +111,18 @@ class TestGrowth:
         assert gp.fitted_exponent == pytest.approx(gp.exact_exponent,
                                                    abs=0.05)
 
+    def test_y_max_past_the_square_root_of_the_largest_float(self, two_atom):
+        # y^2 of the margins overflowed there, and the exponent and the
+        # margin came out nan; the grid's top lies a few ulps above y_max,
+        # so sqrt(largest float) itself is refused too
+        m = build_model(two_atom)
+        edge = np.sqrt(np.finfo(float).max)
+        for y_max in (1e300, 1e155, edge):
+            with pytest.raises(BadParameters):
+                growth_profile(m, y_max=y_max)
+        gp = growth_profile(m, y_max=1e154)
+        assert np.isfinite([gp.fitted_exponent, gp.inner_margin_c]).all()
+
 
 class TestIntegral:
     def test_finite_value(self, two_atom):
@@ -147,9 +159,9 @@ class TestIntegral:
         m = build_model(separated_instance(
             np.random.Generator(np.random.Philox(12)), 12))
         for case, pinned, reference in (
-                ((2.0, 1.0, 1.0), (0.9868464233768878, 1.223578530162861e-13),
+                ((2.0, 1.0, 1.0), (0.9868464233768881, 1.1269457589340819e-13),
                  0.9868464233764916),
-                ((1.5, 2.0, 0.5), (0.9651083926175027, 3.180962437898671e-13),
+                ((1.5, 2.0, 0.5), (0.9651083926175037, 2.928525525322068e-13),
                  0.9651083926046483)):
             rep = integral_test(m, *case)
             assert (rep.value, rep.tail_estimate) == pinned
@@ -481,19 +493,19 @@ class TestWindow:
 
     def test_reports_are_pinned(self):
         # bit for bit; the winding values moved when each edge segment
-        # became one quadrature panel (the counts, nudges and boundary
-        # minima did not)
+        # became one quadrature panel and when the panels went from 64 to
+        # 32 nodes (the counts, nudges and boundary minima did not)
         m = build_model(separated_instance(
             np.random.Generator(np.random.Philox(7)), 30))
         assert volterra_window_check(m, (-10.0, 4.0, 0.3, 2.5)) == \
-            WindowReport(0, 7.250780830103177e-07, 0.3238323180539666,
+            WindowReport(0, -6.487296922285501e-07, 0.3238323180539666,
                          0.0, 0)
         assert volterra_window_check(m, (-21.0, 21.0, 0.0, 3.0)) == \
-            WindowReport(25, 24.99999906224499, 0.1482904479939786,
+            WindowReport(25, 25.000009835532815, 0.1482904479939786,
                          0.011052106570849615, 0)
         m = build_model(sharp_instance(1.0, 0.0, 0.0, 60).data)
         assert volterra_window_check(m, (0.1, 20.0, 0.0, 4.0)) == \
-            WindowReport(0, -1.1644674388612325e-06, 0.013859014422947664,
+            WindowReport(0, 2.236825097808274e-05, 0.013859014422947664,
                          0.00753374924573953, 0)
 
     def test_no_pole_solve_above_the_nudge_line(self, monkeypatch):
@@ -508,10 +520,10 @@ class TestWindow:
             np.random.Generator(np.random.Philox(7)), 30))
         monkeypatch.setattr(diagnostics, "_phi_poles", refuse)
         assert volterra_window_check(m, (-10.0, 4.0, 0.3, 2.5)) == \
-            WindowReport(0, 7.250780830103177e-07, 0.3238323180539666,
+            WindowReport(0, -6.487296922285501e-07, 0.3238323180539666,
                          0.0, 0)
         assert volterra_window_check(m, (-10.0, 4.0, 0.0141, 2.5)) == \
-            WindowReport(7, 7.000045789975304, 0.11541571583681992, 0.0, 0)
+            WindowReport(7, 6.999999226776365, 0.11541571583681992, 0.0, 0)
 
     def test_low_bottom_edge_keeps_its_report(self):
         # 0 < y1 <= cap: the poles are solved and the depth-limited nudge
@@ -520,9 +532,9 @@ class TestWindow:
         m = build_model(separated_instance(
             np.random.Generator(np.random.Philox(7)), 30))
         assert volterra_window_check(m, (-10.0, 4.0, 0.005, 2.5)) == \
-            WindowReport(8, 7.999999999999719, 0.1412795939429589, 0.0, 0)
+            WindowReport(8, 7.999999999753237, 0.1412795939429589, 0.0, 0)
         assert volterra_window_check(m, (-10.0, 4.0, 0.013, 2.5)) == \
-            WindowReport(7, 7.000000831136169, 0.11700061713138721, 0.0, 0)
+            WindowReport(7, 6.999999979899692, 0.11700061713138721, 0.0, 0)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_zero_next_to_the_top_edge(self, seed):
@@ -569,10 +581,11 @@ class TestWindow:
         assert sizes[0] == 3 * ((inside if split else 0) + 4)
 
     def test_bisection_evaluates_only_the_halves(self):
-        # one call per refinement level: the 192 nodes of the panel and its
-        # two halves, then the 128 nodes of the halves of each bisected
-        # panel, whose integral the level above computed
+        # one call per refinement level: the 3n nodes of the panel and its
+        # two halves, then the 2n nodes of the halves of each bisected
+        # panel, whose integral the level above computed (n = GL_NODES.size)
         z0 = 0.3 + 1e-3j
+        n = GL_NODES.size
         calls = []
 
         def fn(z):
@@ -581,16 +594,26 @@ class TestWindow:
 
         ((val, _),) = adaptive_panel(fn, [(-1.0 + 0j, 1.0 + 0j)], 1e-8)
         sizes = [z.size for z in calls]
-        assert sizes[0] == 192 and len(sizes) > 5
-        assert all(n % 128 == 0 and n <= PANEL_POINTS for n in sizes[1:])
-        # the 64-node groups of a call all span panels of one width, which
+        assert sizes[0] == 3 * n and len(sizes) > 5
+        assert all(k % (2 * n) == 0 and k <= PANEL_POINTS for k in sizes[1:])
+        # the n-node groups of a call all span panels of one width, which
         # halves from each call to the next: the calls are the levels
-        widths = [np.ptp(z.reshape(-1, 64).real, axis=1) for z in calls]
+        widths = [np.ptp(z.reshape(-1, n).real, axis=1) for z in calls]
         assert np.allclose(widths[0], [widths[0][0], widths[0][0] / 2,
                                        widths[0][0] / 2])
         for level, w in enumerate(widths[1:], 1):
             assert np.allclose(w, widths[0][0] / 2 ** (level + 1))
         assert abs(val - (np.log(1.0 - z0) - np.log(-1.0 - z0))) <= 1e-8
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_error_within_tolerance(self, k, tol):
+        # a pole 10^-k above the panel, whatever the node count: the true
+        # error, not only the estimate, stays within tol
+        z0 = 0.3 + 10.0 ** -k * 1j
+        ((val, _),) = adaptive_panel(lambda z: 1.0 / (z - z0),
+                                     [(-1.0 + 0j, 1.0 + 0j)], tol)
+        assert abs(val - (np.log(1.0 - z0) - np.log(-1.0 - z0))) <= tol
 
     def test_levels_match_the_recursion(self):
         # several panels, some bisecting deep around the spikes, against the

@@ -13,9 +13,9 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from perturblab.errors import DegenerateZeta, EvaluationAtPole
-from perturblab.model import (CauchyRepresentation, build_debranges,
-                              build_model, canonical_delta, clark_measure,
-                              clark_transform, debranges_kernel,
+from perturblab.model import (INTEGRAL_RTOL, CauchyRepresentation,
+                              build_debranges, build_model, canonical_delta,
+                              clark_measure, clark_transform, debranges_kernel,
                               discrete_inner, kernel_k, kernel_k_tilde,
                               lebesgue_integral)
 from perturblab.engine import kappa_shift
@@ -640,6 +640,12 @@ class TestLebesgueIntegral:
         exact = math.sqrt(math.pi) * math.gamma(a - 0.5) / math.gamma(a)
         val, _ = lebesgue_integral(lambda x: (1.0 + x * x) ** -a, (0.0,))
         assert abs(val - exact) <= 1e-12 * exact
+
+    def test_lorentzian_within_rtol(self):
+        # within the relative tolerance the routine is given, whatever the
+        # node count of its panels; no breakpoint, so the core is one piece
+        val, _ = lebesgue_integral(lambda x: 1.0 / (1.0 + x * x))
+        assert abs(val - math.pi) <= INTEGRAL_RTOL * math.pi
 
     def test_odd_integrand_vanishes(self):
         # the tolerance follows the integral of |fn|, not the zero integral
