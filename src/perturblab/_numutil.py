@@ -196,10 +196,24 @@ def hausdorff_distance(xs, ys):
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def matched_max_distance(xs, ys):
-    """Max pairwise distance under optimal bipartite matching (Hungarian)."""
+def assignment(cost):
+    """col with row i paired to column col[i]: the assignment that minimises
+    the summed cost over a square cost matrix."""
     from scipy.optimize import linear_sum_assignment
 
+    # the rows it returns are arange for a square matrix
+    return linear_sum_assignment(cost)[1]
+
+
+def matched_max_distance(xs, ys):
+    """Largest distance of the assignment of xs to ys minimising the summed
+    distance; inf when the sets differ in size.
+
+    The assignment minimises the sum, not the largest distance, so this is
+    an upper bound on the optimal (bottleneck) matching distance, the least
+    max_i |x_i - y_pi(i)| over bijections pi (Bhatia, Matrix Analysis,
+    GTM 169, Ch. VI).
+    """
     xs = np.asarray(xs, dtype=complex).ravel()
     ys = np.asarray(ys, dtype=complex).ravel()
     if xs.size != ys.size:
@@ -207,8 +221,7 @@ def matched_max_distance(xs, ys):
     if xs.size == 0:
         return 0.0
     cost = np.abs(xs[:, None] - ys[None, :])
-    row, col = linear_sum_assignment(cost)
-    return float(cost[row, col].max())
+    return float(cost[np.arange(xs.size), assignment(cost)].max())
 
 
 def cluster_points(points, radius):

@@ -96,8 +96,12 @@ def integral_test(model: ModelPair, n_weight, tau, eta):
     """Quadrature of 1/(|phi(t + i eta)|^tau (1 + |t|)^n_weight) over the line.
 
     eta = 0 requires phi to have no real zeros; otherwise the integrand has a
-    non-integrable singularity and DivergentNearRealZero is raised.
+    non-integrable singularity and DivergentNearRealZero is raised.  A
+    non-finite n_weight, tau or eta raises BadParameters.
     """
+    if not np.all(np.isfinite([n_weight, tau, eta])):
+        raise BadParameters(f"integral_test needs finite n_weight, tau and "
+                            f"eta, got {n_weight}, {tau}, {eta}")
     zeros = phi_zeros(model)
     if eta == 0.0 and zeros.real.size > 0:
         raise DivergentNearRealZero(

@@ -19,22 +19,21 @@ numerator polynomial of beta, combining the zeros of phi in the closed upper
 half-plane with the conjugated zeros of phi_tilde.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (AdmissibilityError, BadParameters, ChainRequired,
                      EigensolveFailure, NoInvertibleShift, NotBiorthogonal,
-                     NotMinimal, OrderTooHigh, SingularGauge)
+                     SingularGauge)
 from .data import RankOneData, RankNData, validate
 from .model import (BATCH_ELEMENTS, CauchyRepresentation, ModelPair,
                     build_model, kernel_k)
-from ._numutil import (cabs, cluster_points, cmul, difference_quotient,
-                       matched_max_distance, hausdorff_distance,
-                       numerical_rank, kahan_sum, sum_by_abs_pole)
+from ._numutil import (assignment, cabs, cluster_points, cmul,
+                       difference_quotient, matched_max_distance,
+                       hausdorff_distance, numerical_rank, kahan_sum,
+                       sum_by_abs_pole)
 
-#: relative residual allowed for the algebraic-inverse identity
-INVERSE_RTOL = 1e-10
 #: singular values below this (relative) are zero in Jordan rank tests
 JORDAN_RANK_RTOL = 1e-7
 #: eigenvalue cluster radius, relative to the spectral scale
@@ -352,7 +351,9 @@ class SpectrumResult:
 
 
 def compute_spectrum(data, route="auto", model=None):
-    """Oracle and model spectra with the optimal-matching residual.
+    """Oracle and model spectra, and the largest distance of their
+    assignment (matched_max_distance, an upper bound on the optimal
+    matching distance).
 
     The model route applies to rank-one data; rank-n results carry the
     oracle spectrum only (match_residual is nan).
@@ -375,7 +376,7 @@ def compute_spectrum(data, route="auto", model=None):
 
 
 # ---------------------------------------------------------------------------
-# Eigensystem, biorthogonality, chains
+# Eigensystem and biorthogonality
 # ---------------------------------------------------------------------------
 
 def strong_real_type(data, result: SpectrumResult = None):
@@ -406,8 +407,8 @@ class Eigensystem:
 def eigensystem(data: RankOneData, model=None, matrix=None):
     """Eigenfunctions, matrix eigenvectors and the biorthogonal Gram data.
 
-    Requires a simple spectrum; multiple eigenvalues raise ChainRequired and
-    are handled by root_chain.
+    Requires a simple spectrum: a multiple model zero raises ChainRequired,
+    which ends a command with exit code 4.
     """
     if model is None:
         model = build_model(data)
@@ -419,10 +420,8 @@ def eigensystem(data: RankOneData, model=None, matrix=None):
     lams = zeros.zeros
     t, mu, nu = data.t, data.mu, data.nu
 
-    from scipy.optimize import linear_sum_assignment
     evals, evecs = np.linalg.eig(matrix.L)
-    # rows is arange for the square cost matrix
-    evecs = evecs[:, linear_sum_assignment(np.abs(lams[:, None] - evals))[1]]
+    evecs = evecs[:, assignment(np.abs(lams[:, None] - evals))]
 
     diff = t - lams[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):   # checked below
@@ -470,92 +469,9 @@ def eigensystem(data: RankOneData, model=None, matrix=None):
                        gram, gram_offdiag, mu)
 
 
-@dataclass(frozen=True)
-class RootChainReport:
-    lam: complex                     # the zero, Newton-polished
-    order: int
-    constants: np.ndarray            # c with T h_l = z h_l - c phi
-    membership_residuals: np.ndarray # beta^(j)(lam), j < order, relative
-    chain_residuals: np.ndarray      # (T - lam) h_l vs h_{l-1}, relative
-
-
-def _taylor_coefficient(beta: CauchyRepresentation, z, j):
-    """beta^(j)(z)/j! as a compensated sum, and the sum of its terms' moduli.
-
-    For j >= 1 the terms are w_n/(t_n - z)^(j+1); for j = 0 they are those
-    of beta(z) itself, its constant and the w_n (1/(t_n - z) - 1/t_n).
-    """
-    t, w = beta.poles, beta.residues
-    if j == 0:
-        terms = np.append(w * (1.0 / (t - z) - 1.0 / t), beta.constant)
-    else:
-        terms = w / (t - z) ** (j + 1)
-    return kahan_sum(terms), float(np.sum(np.abs(terms)))
-
-
-def root_chain(model: ModelPair, lam, k):
-    """Verify the chain h_l = phi/(z - lam)^l, l = 1..k, under the model action.
-
-    lam is a zero of order >= k exactly when beta^(j)(lam) = 0 for j < k.
-    beta^(k-1) has a simple zero there, so lam is first polished by Newton
-    on it; the membership residuals are then the Taylor coefficients
-    beta^(j)(lam)/j!, each over the sum of its terms' moduli.  Given
-    membership, beta(z)/(z - lam)^l = g_l(z) = sum_n w_n (t_n - lam)^-l
-    /(t_n - z) exactly, and h_l = g_l (1 + Theta)/2.  The coupling constant
-    of T h_l = z h_l - c phi is c_l = -s_l/beta(infinity) with
-    s_l = sum_n w_n (t_n - lam)^-l: 1 at l = 1 and 0 above.  The chain
-    residual of (T - lam) h_l = h_{l-1} (= 0 at l = 1) is checked at sample
-    points off the real axis, relative to the sum of the terms' moduli.
-    """
-    beta, t = model.beta, model.t
-    w = beta.residues
-    c_inf = _beta_infinity(beta)
-    if k > t.size:
-        raise OrderTooHigh(f"requested order {k} exceeds degree {t.size}")
-    lam = complex(lam)
-    for _ in range(60):
-        f = _taylor_coefficient(beta, lam, k - 1)[0]
-        fp = _taylor_coefficient(beta, lam, k)[0]
-        # beta^(k-1)/beta^(k) = (f/(k-1)!)/(fp/k!)
-        step = f / (k * fp) if fp != 0 else 0.0
-        if not np.isfinite(step):
-            break
-        lam -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(lam)):
-            break
-    mem = []
-    for j in range(k):
-        value, size = _taylor_coefficient(beta, lam, j)
-        mem.append(abs(value) / size)
-    if max(mem) > 1e-6:
-        raise OrderTooHigh(
-            f"lam={lam} is not a zero of order >= {k}: residuals {mem}")
-    inverse = 1.0 / (t - lam)
-    constants = np.array([-kahan_sum(w * inverse ** ell) / c_inf
-                          for ell in range(1, k + 1)])
-    chain = np.zeros(k)
-    probes = np.array(_probe_points(t))
-    for z, half, phi in zip(probes, model.one_plus_theta(probes) / 2.0,
-                            model.phi(probes)):
-        prev = 0.0
-        for ell in range(1, k + 1):
-            h = kahan_sum(w * inverse ** ell / (t - z)) * half
-            terms = ((z - lam) * h, -constants[ell - 1] * phi, -prev)
-            chain[ell - 1] = max(chain[ell - 1],
-                                 abs(sum(terms)) / sum(map(abs, terms)))
-            prev = h
-    return RootChainReport(lam, k, constants, np.asarray(mem), chain)
-
-
 # ---------------------------------------------------------------------------
-# Adjoints, gauge, generating element
+# Adjoints and gauge
 # ---------------------------------------------------------------------------
-
-def weighted_adjoint(mat, mu):
-    """Adjoint with respect to <x,y> = sum x conj(y) mu."""
-    w = np.asarray(mu, dtype=float)
-    return (mat.conj().T * w[None, :]) / w[:, None]
-
 
 def adjoint_data(data):
     """Adjoint triple (b, a, conj(kappa)); requires the starred condition."""
@@ -563,15 +479,6 @@ def adjoint_data(data):
     if not report.condition_A_star:
         raise AdmissibilityError("starred admissibility condition fails")
     return data.adjoint()
-
-
-def adjoint_residual(data):
-    """|| L(adjoint data) - (weighted adjoint of L(data)) || / ||L||."""
-    m = build_matrix(data)
-    m_star = build_matrix(adjoint_data(data))
-    expected = weighted_adjoint(m.L, data.mu)
-    return float(np.linalg.norm(m_star.L - expected)
-                 / max(1.0, np.linalg.norm(m.L)))
 
 
 def gauge_check(data, tau1, tau2):
@@ -595,67 +502,3 @@ def gauge_check(data, tau1, tau2):
     L1 = build_matrix(data).L
     L2 = build_matrix(other).L
     return float(np.linalg.norm(L1 - L2) / max(1.0, np.linalg.norm(L1)))
-
-
-@dataclass(frozen=True)
-class GeneratingFunction:
-    lambdas: np.ndarray
-    lambda0: complex
-    coefficients: np.ndarray         # Clark-basis coefficients of g
-    condition: float
-    model: ModelPair = field(repr=False)
-
-    def g(self, z):
-        """g at one point or at every point of an array."""
-        terms = self.coefficients * _clark_kernels(self.model, z)
-        return kahan_sum(np.moveaxis(terms, -1, 0))
-
-    def __call__(self, z):
-        return cmul(np.asarray(z) - self.lambda0, self.g(z))
-
-    def max_residual_on_lambdas(self):
-        scale = np.max(cabs(self(np.array(_probe_points(self.lambdas)))))
-        return float(np.max(cabs(self(self.lambdas))) / scale)
-
-
-def _clark_kernels(model: ModelPair, z):
-    """Clark basis kernels k_{t_n}(z) = (1 + Theta(z))/(z - t_n), n last.
-
-    z is a point or an array; at z = t_n the kernel takes its limit
-    Theta'(t_n).
-    """
-    z = np.asarray(z, dtype=complex)[..., None]
-    return difference_quotient(model.one_plus_theta(z), z - model.t, model.t,
-                               lambda: model.theta_prime(z))
-
-
-def _probe_points(lams):
-    base = 1.0 + float(np.max(np.abs(lams)))
-    return [base * 1j, -base + base * 1j, 2.0 * base + 0.5j * base]
-
-
-def generating_function(model: ModelPair, lambdas, lambda0=None):
-    """Unique-up-to-scale model-space element vanishing on Lambda \\ {lambda0}.
-
-    The kernels at Lambda must be complete and minimal in the finite model
-    space, i.e. |Lambda| equals the atom count and the interpolation system
-    is nonsingular.  Returns phi_Lambda = (z - lambda0) g with g in the Clark
-    basis of sigma_{-1}.
-    """
-    lams = np.asarray(lambdas, dtype=complex).ravel()
-    n = model.t.size
-    if lams.size != n:
-        raise NotMinimal(f"need exactly {n} points, got {lams.size}")
-    if lambda0 is None:
-        lambda0 = lams[0]
-    rest = np.delete(lams, int(np.argmin(np.abs(lams - lambda0))))
-    if n == 1:
-        coeffs = np.array([1.0 + 0.0j])
-        cond = 1.0
-    else:
-        u, s, vh = np.linalg.svd(_clark_kernels(model, rest))
-        if s[0] == 0 or s[-1] < 1e-12 * s[0]:
-            raise NotMinimal("interpolation system is singular")
-        coeffs = vh[-1].conj()
-        cond = float(s[0] / s[-1])
-    return GeneratingFunction(lams, complex(lambda0), coeffs, cond, model)

@@ -34,19 +34,12 @@ class EigensolveFailure(PerturbLabError):
 
 
 class ChainRequired(PerturbLabError):
-    """Eigenvalue has multiplicity > 1; root-vector chains are needed."""
-
-
-class OrderTooHigh(PerturbLabError):
-    """Requested chain length exceeds the zero order."""
+    """Eigenvalue has multiplicity > 1; the eigensystem needs a simple
+    spectrum."""
 
 
 class SingularGauge(PerturbLabError):
     """Gauge factor is not invertible."""
-
-
-class NotMinimal(PerturbLabError):
-    """Interpolation system for the generating element is singular."""
 
 
 class NotBiorthogonal(PerturbLabError):

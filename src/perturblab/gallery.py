@@ -1,6 +1,6 @@
 """Explicit constructions reproduced at controlled truncation.
 
-Three families live here:
+Two families live here:
 
 * the spectrum-free instance over t_n = (n - 1/2)^2 whose generating
   function is (1 + Theta)/(2 cos(pi sqrt(z))), truncated to n <= N, with the
@@ -9,8 +9,7 @@ Three families live here:
 * the lacunary-gap machinery: greedy doubly-exponential subsequences and the
   zero-interlacing construction A0, B0, S, gamma, g with coefficients d_n and
   weights nu_n, run in extended precision because the 2^n amplification in
-  the weights exhausts doubles around K ~ 40;
-* gap/weight hypothesis checks for the synthesis statements.
+  the weights exhausts doubles around K ~ 40.
 
 Everything emits finite identities and partial sums only; no infinite
 completeness claim is asserted.
@@ -457,54 +456,3 @@ def _section4_coefficients(t, n1, others, v, sparse, fsum, fprod):
     for m, i in enumerate(others):
         d[i] = -q[m] * b0_over_sa0(t[i])
     return q, b0_over_sa0, d, s_fn, gamma
-
-
-# ---------------------------------------------------------------------------
-# Gap hypotheses for the synthesis statements
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GapReport:
-    power_gap_ok: bool
-    power_gap_worst_margin: float    # min over n of C|s_{n+1}-s_n| - |s_n|^N
-    smallness_ok: bool               # |s_{n+1}-s_n| = o(|s_n|) trend
-    gap_ratio_first: float
-    gap_ratio_last: float
-    weight_floor_ok: bool | None     # nu_n >= c (|t_n|+1)^{-M}, if supplied
-    ok: bool
-
-    def __bool__(self):
-        return self.ok
-
-
-def synthesis_gap_check(s_seq, big_c, n_exp, nu=None, c_floor=None,
-                        m_exp=None):
-    """Check |s_n|^N <= C |s_{n+1} - s_n| = o(|s_n|) over a finite range.
-
-    The o(.) condition is tested as a trend: the maximal gap ratio over the
-    last quarter of the range must fall below half of that over the first
-    quarter.  Optionally checks the weight floor nu_n >= c (|t_n|+1)^{-M}.
-    """
-    if n_exp <= 0:
-        raise BadParameters("the gap exponent must be positive")
-    s = np.asarray(s_seq, dtype=float)
-    if s.size < 8:
-        raise BadParameters("need at least 8 sequence points")
-    gaps = np.abs(np.diff(s))
-    power_margin = float(np.min(big_c * gaps - np.abs(s[:-1]) ** n_exp))
-    power_ok = bool(power_margin >= 0.0)
-    ratios = gaps / np.abs(s[:-1])
-    quarter = max(2, ratios.size // 4)
-    first = float(np.max(ratios[:quarter]))
-    last = float(np.max(ratios[-quarter:]))
-    small_ok = bool(last <= 0.5 * first)
-    floor_ok = None
-    if nu is not None:
-        if c_floor is None or m_exp is None:
-            raise BadParameters("weight floor needs c_floor and m_exp")
-        nu = np.asarray(nu, dtype=float)
-        t_abs = np.abs(1.0 / s)
-        floor_ok = bool(np.all(nu >= c_floor * (t_abs + 1.0) ** (-m_exp)))
-    ok = power_ok and small_ok and (floor_ok is not False)
-    return GapReport(power_ok, power_margin, small_ok, first, last,
-                     floor_ok, ok)

@@ -33,9 +33,9 @@ Where |z| is so large (about 1e308) that a product with u overflows, the
 quotients are taken with numerator and denominator over u.
 
 The free real constant delta in rho defaults to sum_n nu_n / t_n, which makes
-rho(z) = sum_n nu_n/(t_n - z) = B/A exactly, so Theta coincides with E*/E for
-the associated structure pair E = A - iB with no Moebius discrepancy.  Any
-other real delta may be passed explicitly.
+rho(z) = sum_n nu_n/(t_n - z) exactly: with A(z) = prod_n (1 - z/t_n) and
+B = A rho, Theta is then E*/E for E = A - iB, with no Moebius discrepancy.
+Any other real delta may be passed explicitly.
 """
 
 from contextlib import nullcontext
@@ -328,11 +328,6 @@ class ModelPair:
         """phi_tilde(z) = Theta(z) * conj(phi(conj(z))), via conjugated data."""
         return self._phi(self._beta_star, z)
 
-    def one_plus_theta(self, z):
-        j, u, r = self._split(z, self.rho)
-        return _regrouped(lambda: (2j * u, self._den(j, u, r)),
-                          lambda: (2j, self._den_over_u(j, u, r)))
-
     def theta_prime(self, z):
         """Theta'(z) = -2i rho'(z) / (i + rho(z))^2, atom-stable.
 
@@ -389,7 +384,7 @@ def build_model(data: RankOneData, delta="auto", strict=True):
     data : RankOneData
     delta : float or "auto"
         Free real constant of rho; "auto" selects the canonical value
-        sum nu_n/t_n aligning Theta with the structure pair E*/E.
+        sum nu_n/t_n, which makes rho(z) = sum nu_n/(t_n - z).
     strict : bool
         When True (default) raise AdmissibilityError if the admissibility
         condition fails.  Degenerate families used for envelope diagnostics
@@ -402,70 +397,6 @@ def build_model(data: RankOneData, delta="auto", strict=True):
     if delta == "auto":
         delta = canonical_delta(data)
     return ModelPair(data, float(delta), report)
-
-
-# ---------------------------------------------------------------------------
-# Structure pair E = A - iB and its reproducing kernel
-# ---------------------------------------------------------------------------
-
-class DeBrangesPair:
-    """Pair of real entire (here polynomial) functions with E = A - iB.
-
-    A(z) = prod (1 - z/t_n) (so A(0) = 1) vanishes exactly at the atoms and
-    B is fixed by B/A = sum nu_n/(t_n - z).  E = A - iB satisfies
-    |E(z)| > |E(conj z)| in the open upper half-plane and E*/E equals the
-    model Theta built with the canonical delta.
-    """
-
-    def __init__(self, zeros, nu):
-        self.zeros = np.asarray(zeros, dtype=float)
-        self.nu = np.asarray(nu, dtype=float)
-
-    def A(self, z):
-        return np.prod(1.0 - z / self.zeros)
-
-    def _leave_one_out(self, z):
-        """prod_{m != n} (1 - z/t_m) for every n, by prefix/suffix products."""
-        factors = 1.0 - z / self.zeros
-        pre = np.concatenate(([1.0], np.cumprod(factors)[:-1]))
-        suf = np.concatenate((np.cumprod(factors[::-1])[-2::-1], [1.0]))
-        return pre * suf
-
-    def B(self, z):
-        return kahan_sum((self.nu / self.zeros) * self._leave_one_out(z))
-
-    def E(self, z):
-        return self.A(z) - 1j * self.B(z)
-
-    def E_star(self, z):
-        """E*(z) = conj(E(conj z)) = A(z) + iB(z) for real A, B."""
-        return self.A(z) + 1j * self.B(z)
-
-    def hermite_biehler_margin(self, z):
-        """|E(z)| - |E(conj z)|; positive in the open upper half-plane."""
-        return abs(self.E(z)) - abs(self.E(np.conj(z)))
-
-
-def build_debranges(data: RankOneData):
-    """Structure pair of the data: zeros at atoms, weights nu_n."""
-    return DeBrangesPair(data.t, data.nu)
-
-
-def debranges_kernel(pair: DeBrangesPair, w, z):
-    """Reproducing kernel K_w(z) = (conj(A(w))B(z) - conj(B(w))A(z)) / (pi (z - conj w)).
-
-    On the diagonal z = conj w the kernel is A(z)^2 rho'(z)/pi with
-    rho = B/A = sum nu_n/(t_n - z).  Since A(z)/(t_n - z) = loo_n(z)/t_n,
-    loo_n the product without factor n, that is
-    sum_n nu_n (loo_n(z)/t_n)^2/pi, exact at the atoms and free of
-    derivatives of A or B.
-    """
-    wbar = np.conj(w)
-    if abs(z - wbar) < 1e-9 * (1.0 + abs(z)):
-        loo = pair._leave_one_out(z)
-        return kahan_sum(pair.nu * (loo / pair.zeros) ** 2) / np.pi
-    aw, bw = np.conj(pair.A(w)), np.conj(pair.B(w))
-    return (aw * pair.B(z) - bw * pair.A(z)) / (np.pi * (z - wbar))
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +475,6 @@ def kernel_k(model: ModelPair, lam, z):
     return difference_quotient(1.0 - cmul(tl, model.theta(z)),
                                z - np.conj(lam), z,
                                lambda: cmul(-tl, model.theta_prime(z)))
-
-
-def kernel_k_tilde(model: ModelPair, lam, z):
-    """k~_lam(z) = (Theta(z) - Theta(lam)) / (z - lam) = Theta(z) conj(k_lam(conj z))."""
-    return difference_quotient(model.theta(z) - model.theta(lam), z - lam, z,
-                               lambda: model.theta_prime(z))
 
 
 def discrete_inner(f_vals, g_vals, weights):

@@ -135,6 +135,15 @@ class TestIntegral:
         with pytest.raises(DivergentNearRealZero):
             integral_test(build_model(two_atom), 2.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("n_weight, tau, eta", [
+        (2.0, 1.0, float("nan")), (2.0, float("inf"), 1.0),
+        (float("nan"), 1.0, 1.0), (-float("inf"), 1.0, 1.0),
+        (2.0, 1.0, float("inf"))])
+    def test_non_finite_parameters_raise(self, two_atom, n_weight, tau, eta):
+        # before, eta = nan or tau = inf came back convergent with a nan value
+        with pytest.raises(BadParameters, match="finite"):
+            integral_test(build_model(two_atom), n_weight, tau, eta)
+
     def test_monotone_in_weight(self, two_atom):
         m = build_model(two_atom)
         v2 = integral_test(m, 2.0, 1.0, 1.0).value

@@ -1,19 +1,17 @@
-"""Matrix realization, two-route spectra, chains, adjoints, gauges."""
+"""Matrix realization, two-route spectra, the eigensystem, adjoints, gauges."""
 
 import numpy as np
 import pytest
 
 from perturblab.data import DiscreteSpectralData, RankNData
-from perturblab.errors import AdmissibilityError, OrderTooHigh
+from perturblab.errors import AdmissibilityError
 from perturblab.model import CauchyRepresentation, build_model, kernel_k
 from perturblab.engine import (ABERTH_ITERATIONS, MatrixRealization,
                                _aberth_refine, _beta_infinity, _collisions,
-                               adjoint_data,
-                               adjoint_residual, build_matrix,
+                               adjoint_data, build_matrix,
                                compute_spectrum, eigensystem, gauge_check,
-                               generating_function, kappa_shift,
-                               oracle_spectrum, phi_zeros, root_chain,
-                               shifted_data, weighted_adjoint)
+                               kappa_shift, oracle_spectrum, phi_zeros,
+                               shifted_data)
 from perturblab.gallery import sharp_instance
 from perturblab._numutil import (cluster_points, kahan_sum,
                                  matched_max_distance)
@@ -535,60 +533,17 @@ class TestEigensystem:
             assert np.max(np.abs(ip - np.eye(len(es.eigenvalues)))) < 1e-8
 
 
-class TestRootChain:
-    def test_first_order_identity(self, two_atom):
-        m = build_model(two_atom)
-        lam = 1 + np.sqrt(2)
-        rep = root_chain(m, lam, 1)
-        assert rep.constants == pytest.approx([1.0])
-        assert np.max(rep.chain_residuals) < 1e-10
-
-    def test_double_zero_chain(self):
-        data = double_zero_instance()
-        m = build_model(data)
-        zeros = phi_zeros(m)
-        lam = zeros.clusters[int(np.argmax(zeros.multiplicities))]
-        rep = root_chain(m, lam, 2)
-        assert rep.constants == pytest.approx([1.0, 0.0], abs=1e-8)
-        assert np.max(rep.chain_residuals) < 1e-10
-        assert np.max(rep.membership_residuals) < 1e-8
-
-    def test_order_too_high(self, two_atom):
-        m = build_model(two_atom)
-        with pytest.raises(OrderTooHigh):
-            root_chain(m, 1 + np.sqrt(2), 2)
-
-    def test_simple_zero_at_800_atoms(self):
-        import mpmath as mp
-
-        data = separated_instance(np.random.Generator(np.random.Philox(800)),
-                                  800)
-        m = build_model(data)
-        lam = phi_zeros(m).zeros[400]
-        rep = root_chain(m, lam * (1.0 + 1e-7), 1)
-        with mp.workdps(50):
-            t = [mp.mpf(float(x)) for x in data.t]
-            w = [mp.mpc(complex(x)) for x in m.beta.residues]
-            c_inf = mp.mpc(complex(data.kappa)) - mp.fsum(
-                wn / tn for wn, tn in zip(w, t))
-
-            def beta(z):
-                return c_inf + mp.fsum(wn / (tn - z) for wn, tn in zip(w, t))
-
-            root = mp.findroot(beta, mp.mpc(rep.lam))
-            assert abs(rep.lam - root) <= 1e-10 * abs(root)
-        assert rep.constants == pytest.approx([1.0], rel=1e-10)
-        assert np.max(rep.membership_residuals) < 1e-10
-        assert np.max(rep.chain_residuals) < 1e-10
-
-
 class TestAdjointAndGauge:
     def test_selfadjoint_case(self, rng):
         data = random_instance(rng, 5, real_type=True)
         data = make_data(data.t, data.mu, data.b, data.b, 1.7)
-        assert adjoint_residual(data) < 1e-12
         L = build_matrix(data).L
-        assert np.max(np.abs(L - weighted_adjoint(L, data.mu))) < 1e-10
+        # the adjoint in <x, y> = sum x conj(y) mu
+        weighted = (L.conj().T * data.mu) / data.mu[:, None]
+        assert np.max(np.abs(L - weighted)) < 1e-10
+        L_star = build_matrix(adjoint_data(data)).L
+        assert np.linalg.norm(L_star - weighted) < 1e-12 * max(
+            1.0, np.linalg.norm(L))
 
     def test_adjoint_spectrum_conjugate(self, rng):
         from perturblab._numutil import matched_max_distance
@@ -630,38 +585,6 @@ class TestAdjointAndGauge:
         assert np.max(np.abs(e1 - e2)) < 1e-10 * max(1.0, np.max(np.abs(e1)))
 
 
-class TestGeneratingFunction:
-    def test_round_trip_recovers_phi(self, rng):
-        data = random_instance(rng, 5)
-        m = build_model(data)
-        lams = phi_zeros(m).zeros
-        gf = generating_function(m, lams)
-        assert gf.max_residual_on_lambdas() < 1e-8
-        z1, z2 = 0.21 + 0.5j, -3.1 + 1.2j
-        cross = gf(z1) * m.phi(z2) - gf(z2) * m.phi(z1)
-        assert abs(cross) <= 1e-8 * abs(gf(z1) * m.phi(z2))
-
-    def test_dimension_one(self, one_atom):
-        m = build_model(one_atom)
-        gf = generating_function(m, [2.0])
-        z1, z2 = 0.4 + 0.3j, -1.0 + 2.0j
-        cross = gf(z1) * m.phi(z2) - gf(z2) * m.phi(z1)
-        assert abs(cross) <= 1e-10 * abs(gf(z1) * m.phi(z2))
-
-    def test_sensitivity_is_finite(self, rng):
-        data = random_instance(rng, 5)
-        m = build_model(data)
-        lams = phi_zeros(m).zeros
-        gf = generating_function(m, lams)
-        bumped = lams.copy()
-        bumped[0] += 1e-6
-        gf2 = generating_function(m, bumped)
-        z = 0.37 + 0.61j
-        rel = abs(gf(z) / gf(1j) - gf2(z) / gf2(1j)) / abs(gf(z) / gf(1j))
-        assert np.isfinite(gf2.condition)
-        assert rel < 1e-2  # continuous dependence at this perturbation size
-
-
 class TestKappaShift:
     def test_matches_beta(self, rng):
         data = random_instance(rng, 6)
@@ -670,10 +593,3 @@ class TestKappaShift:
             assert kappa_shift(data, lam) == pytest.approx(m.beta(lam),
                                                            rel=1e-12)
 
-
-class TestDegreeLimits:
-    def test_generating_function_needs_full_set(self, two_atom):
-        from perturblab.errors import NotMinimal
-        from perturblab.model import build_model as bm
-        with pytest.raises(NotMinimal):
-            generating_function(bm(two_atom), [1 + np.sqrt(2)])

@@ -12,7 +12,7 @@ from perturblab.errors import (BadParameters, BisectionFailure,
 from perturblab.gallery import (_check_lacunary, _gap_zero, cos_pi_sqrt,
                                 lacunary_sequence, mittag_leffler_check,
                                 section4_build, sharp_instance,
-                                sharp_zero_freeness, synthesis_gap_check)
+                                sharp_zero_freeness)
 from perturblab.model import build_model
 
 
@@ -314,25 +314,3 @@ class TestGapZeros:
         with pytest.raises(BisectionFailure, match="outside the gap"):
             section4_build(np.arange(1.0, 9.0), 8)
 
-
-class TestGapChecks:
-    def test_inverse_square_sequence(self):
-        s = 1.0 / np.arange(1, 200) ** 2
-        rep = synthesis_gap_check(s, 4.0, 2.0)
-        assert rep.power_gap_ok and rep.smallness_ok and bool(rep)
-
-    def test_geometric_sequence_fails_smallness(self):
-        s = 2.0 ** -np.arange(1, 60)
-        rep = synthesis_gap_check(s, 4.0, 2.0)
-        assert not rep.smallness_ok and not bool(rep)
-
-    def test_zero_exponent_rejected(self):
-        with pytest.raises(BadParameters):
-            synthesis_gap_check(1.0 / np.arange(1, 50) ** 2, 4.0, 0.0)
-
-    def test_weight_floor(self):
-        s = 1.0 / np.arange(1, 100) ** 2
-        nu = 1.0 / (1.0 / s + 1.0) ** 3
-        rep = synthesis_gap_check(s, 4.0, 2.0, nu=nu, c_floor=0.5,
-                                  m_exp=3.0)
-        assert rep.weight_floor_ok

@@ -14,9 +14,8 @@ from numpy.polynomial import polynomial as P
 
 from perturblab.errors import DegenerateZeta, EvaluationAtPole
 from perturblab.model import (INTEGRAL_RTOL, CauchyRepresentation,
-                              build_debranges, build_model, canonical_delta,
-                              clark_measure, clark_transform, debranges_kernel,
-                              discrete_inner, kernel_k, kernel_k_tilde,
+                              build_model, canonical_delta, clark_measure,
+                              clark_transform, discrete_inner, kernel_k,
                               lebesgue_integral)
 from perturblab.engine import kappa_shift
 from perturblab._numutil import cabs, cmul, kahan_sum
@@ -359,8 +358,8 @@ class TestRegularParts:
 class TestArrayForms:
     """Every evaluator called on an array against its one-point calls."""
 
-    FUNCTIONS = ("phi", "theta", "phi_tilde", "one_plus_theta",
-                 "theta_prime", "log_derivative_phi")
+    FUNCTIONS = ("phi", "theta", "phi_tilde", "theta_prime",
+                 "log_derivative_phi")
 
     @pytest.mark.parametrize("n, k", [(1, 5), (7, 21), (60, 333), (500, 41)])
     def test_bitwise_equal_to_scalar(self, rng, n, k):
@@ -389,8 +388,7 @@ class TestArrayForms:
         zs = np.concatenate([zs, cm.atoms])         # the limit at the atoms
         F = clark_transform(cm, m, rng.normal(size=7) + 1j)
         lam = 0.3 + 0.8j
-        for fn in (F, lambda z: kernel_k(m, lam, z),
-                   lambda z: kernel_k_tilde(m, lam, z)):
+        for fn in (F, lambda z: kernel_k(m, lam, z)):
             one = np.array([fn(z) for z in zs])
             assert fn(zs).tobytes() == one.tobytes()
 
@@ -421,8 +419,6 @@ def unfused(m, name, zs):
     den = 1j * u + nu + cmul(u, r)
     if name == "theta":
         return (1j * u - nu - cmul(u, r)) / den
-    if name == "one_plus_theta":
-        return 2j * u / den
     if name == "theta_prime":
         return -2j * (nu + cmul(cmul(u, u), rp)) / cmul(den, den)
     beta = m._beta_star if name == "phi_tilde" else m.beta
@@ -464,7 +460,7 @@ class TestOverflow:
         for z in self.POINTS:
             assert abs(m.phi(z) - beta_inf * one_plus / 2.0) <= \
                 1e-12 * abs(beta_inf * one_plus / 2.0)
-            assert abs(m.one_plus_theta(z) - one_plus) <= 1e-12 * abs(one_plus)
+            assert abs(1.0 + m.theta(z) - one_plus) <= 1e-12 * abs(one_plus)
             assert np.isfinite(m.log_derivative_phi(z))
             assert np.isfinite(m.theta_prime(z))
         zs = np.array(self.POINTS + (0.5 + 1j,))
@@ -472,71 +468,6 @@ class TestOverflow:
         assert m.phi(zs)[-1] == m.phi(0.5 + 1j)
         assert m.phi(zs)[:3].tobytes() == np.array(
             [m.phi(z) for z in self.POINTS]).tobytes()
-
-
-class TestDeBranges:
-    def test_one_atom_pair(self, one_atom):
-        pair = build_debranges(one_atom)
-        for z in (0.0, 2.5, -1.0 + 0.7j):
-            assert pair.A(z) == pytest.approx(1.0 - z)
-            assert pair.B(z) == pytest.approx(1.0)
-        assert pair.E(2j) == pytest.approx(1 - 2j - 1j)
-
-    def test_zeros_at_atoms(self, two_atom):
-        pair = build_debranges(two_atom)
-        for t in two_atom.t:
-            assert abs(pair.A(t)) < 1e-14
-
-    def test_hermite_biehler_margin(self, two_atom, rng):
-        pair = build_debranges(two_atom)
-        assert pair.hermite_biehler_margin(2j) > 0
-        for _ in range(100):
-            z = complex(rng.uniform(-10, 10), rng.uniform(0.01, 10))
-            assert pair.hermite_biehler_margin(z) > 0
-
-    def test_estar_over_e_matches_canonical_theta(self, rng):
-        data = random_instance(rng, 6)
-        pair = build_debranges(data)
-        m = build_model(data)  # canonical delta
-        for z in (1j, 0.77 + 0.2j, -3.0 + 1.5j):
-            assert pair.E_star(z) / pair.E(z) == pytest.approx(m.theta(z),
-                                                               rel=1e-11)
-
-    def test_partial_fraction_identity(self, rng):
-        data = random_instance(rng, 5)
-        pair = build_debranges(data)
-        for z in (0.9j, 2.3 + 0.4j):
-            lhs = pair.B(z) / pair.A(z)
-            rhs = np.sum(data.nu / (data.t - z))
-            assert lhs == pytest.approx(rhs, rel=1e-11)
-
-    @pytest.mark.parametrize("n", [300, 800])
-    def test_kernel_matches_mpmath(self, n):
-        # K_w(conj w) = A^2 rho'/pi; off the diagonal the defining quotient
-        import mpmath as mp
-
-        data = separated_instance(np.random.Generator(np.random.Philox(3)), n)
-        pair = build_debranges(data)
-        w = 0.37 + 0.8j
-        with mp.workdps(50):
-            t = [mp.mpf(float(x)) for x in data.t]
-            nu = [mp.mpf(float(x)) for x in data.nu]
-
-            def a_rho(z, power):
-                a = mp.fprod(1 - z / tn for tn in t)
-                return a, mp.fsum(v / (tn - z) ** power
-                                  for v, tn in zip(nu, t))
-
-            a, rho_prime = a_rho(mp.mpc(w.conjugate()), 2)
-            diagonal = complex(a * a * rho_prime / mp.pi)
-            z = -1.3 + 0.6j
-            aw, rw = a_rho(mp.mpc(w), 1)
-            az, rz = a_rho(mp.mpc(z), 1)
-            off = complex(mp.conj(aw) * az * (rz - mp.conj(rw))
-                          / (mp.pi * (z - mp.conj(w))))
-        assert abs(debranges_kernel(pair, w, w.conjugate()) - diagonal) <= \
-            1e-12 * abs(diagonal)
-        assert abs(debranges_kernel(pair, w, z) - off) <= 1e-10 * abs(off)
 
 
 class TestClark:
@@ -603,34 +534,6 @@ class TestKernels:
         assert disc == pytest.approx(expected, rel=1e-10)
         quadv, _ = lebesgue_integral(lambda x: f(x) * np.conj(kl(x)), cm.atoms)
         assert quadv == pytest.approx(expected, rel=1e-6)
-
-    def test_k_tilde_relations(self, two_atom):
-        m = build_model(two_atom)
-        lam = 0.45  # real, off the atoms
-        for z in (0.8j, 2.2 + 1.1j):
-            assert kernel_k_tilde(m, lam, z) == pytest.approx(
-                -m.theta(lam) * kernel_k(m, lam, z), rel=1e-11)
-        lam_c = 0.3 + 0.8j
-        for z in (1.4j, -0.7 + 0.5j):
-            assert kernel_k_tilde(m, lam_c, z) == pytest.approx(
-                m.theta(z) * np.conj(kernel_k(m, lam_c, np.conj(z))),
-                rel=1e-11)
-
-    def test_debranges_kernel_positive_diagonal(self, two_atom):
-        pair = build_debranges(two_atom)
-        val = debranges_kernel(pair, 1j, 1j)
-        assert abs(val.imag) < 1e-12
-        assert val.real > 0
-
-    def test_debranges_kernel_transport(self, two_atom):
-        m = build_model(two_atom)
-        pair = build_debranges(two_atom)
-        w, z = 0.5 + 0.6j, -1.4 + 0.9j
-        transported = (1j / (2 * np.pi)) * np.conj(pair.E(w)) * pair.E(z) \
-            * kernel_k(m, w, z)
-        assert debranges_kernel(pair, w, z) == pytest.approx(transported,
-                                                             rel=1e-11)
-
 
 class TestLebesgueIntegral:
     @pytest.mark.parametrize("a", [1.0, 0.75, 0.55])
@@ -764,7 +667,7 @@ class TestPropertyBased:
         assert abs(abs(m.theta(x)) - 1.0) < 1e-10
         z = 0.3 + 1.1j
         assert m.rho(z).imag > 0
-        assert abs(m.phi(z) - m.beta(z) * m.one_plus_theta(z) / 2.0) \
+        assert abs(m.phi(z) - m.beta(z) * (1.0 + m.theta(z)) / 2.0) \
             <= 1e-12 * max(1.0, abs(m.phi(z)))
 
     @given(st.lists(st.floats(0.1, 3.0), min_size=2, max_size=6))
