@@ -218,7 +218,10 @@ def model_eval(cfg, problem, which, points, real_grid, imag, delta):
         text, cfg.seed)
     vals = m.eval(which, np.array(zs))
     rows = [(z.real, z.imag, v.real, v.imag) for z, v in zip(zs, vals)]
-    d = problemio.artifact_dir(cfg.out, manifest)
+    # the CSV carries no manifest: the JSON beside it does
+    d, _ = cfg.emit(manifest, "model_eval",
+                    {"which": which, "imag": imag,
+                     "real_grid": real_grid or "", "points": len(zs)})
     cfg.emit_csv(d, f"eval_{which}", ("re_z", "im_z", "re_F", "im_F"), rows)
 
 

@@ -5,9 +5,10 @@ discrete measure sum_n mu_n * delta_{t_n} with 0 outside the support,
 held once as two read-only arrays: the positions t and the masses mu.  A
 perturbation is described by per-atom values a_n, b_n and a coupling kappa
 (scalar for rank one, an n x n matrix for rank n).  Admissibility asks that
-kappa differ from the weighted pairing sum_n a_n conj(b_n) mu_n / t_n; for
-finite data the starred condition collapses to the same inequality, which
-the report records explicitly.
+the coupling kappa - b* A^{-1} a be invertible: for rank one, that kappa
+differ from the weighted pairing sum_n a_n conj(b_n) mu_n / t_n.  For finite
+data the starred condition collapses to the same one, which the report
+records explicitly.
 """
 
 from dataclasses import dataclass, field
@@ -180,7 +181,9 @@ def pairing_sum(data):
 
 
 def omega_matrix(data):
-    """Weighted pairing matrix omega_{jk} = sum_n a_{nj} conj(b_{nk}) mu_n / t_n.
+    """Weighted pairing matrix omega = b* A^{-1} a, that is
+    omega_{jk} = sum_n conj(b_{nj}) a_{nk} mu_n / t_n: kappa - omega is the
+    coupling that the realization L = A + a (kappa - omega)^{-1} b* inverts.
 
     Accepts rank-one data as well, in which case the result is 1 x 1.
     """
@@ -192,7 +195,7 @@ def omega_matrix(data):
     for j in range(n):
         for k in range(n):
             omega[j, k] = sum_by_abs_pole(
-                t, data.a[:, j] * np.conj(data.b[:, k]) * mu / t)
+                t, np.conj(data.b[:, j]) * data.a[:, k] * mu / t)
     return omega
 
 
@@ -223,7 +226,8 @@ def validate(data):
     admissibility condition reads kappa != sum_n a_n conj(b_n) mu_n / t_n and
     its starred version is the conjugate relation; the two are equivalent,
     which the report records under witnesses["finite_collapse"].  Rank-n data
-    are decided through the smallest singular value of kappa - omega.
+    are decided through the smallest singular value of kappa - omega, the
+    coupling kappa - b* A^{-1} a (omega_matrix).
     """
     real_type = classify_real_type(data)
     if isinstance(data, RankOneData):

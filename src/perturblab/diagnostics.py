@@ -134,7 +134,8 @@ class MacaevReport:
 
 
 def macaev_check(data, picture="singular"):
-    """Invertibility check of kappa - omega (singular) or I + omega (bounded)."""
+    """Invertibility check of kappa - omega (singular) or I + omega (bounded),
+    omega = b* A^{-1} a (data.omega_matrix)."""
     omega = omega_matrix(data)
     if picture == "singular":
         mat = np.atleast_2d(data.kappa) - omega

@@ -2,15 +2,25 @@
 
 The perturbation acts on the weighted space l^2(mu) over the atoms, where the
 unperturbed operator is A = diag(t_n) and adjoints are always taken in the
-mu-weighted inner product <x, y> = sum x_n conj(y_n) mu_n.  When the coupling
-is invertible the operator is the algebraic inverse of a bounded finite-rank
-perturbation of A^{-1},
+mu-weighted inner product <x, y> = sum x_n conj(y_n) mu_n.  The paper defines
+the operator as the algebraic inverse of a bounded finite-rank perturbation
+of A^{-1},
 
     L = (A^{-1} - (A^{-1} a) kappa^{-1} (b* A^{-1}))^{-1},
 
-otherwise a deterministic scan picks a real shift lambda with invertible
-shifted coupling kappa(lambda) = kappa + lambda b*(A - lambda)^{-1} A^{-1} a
-and the spectrum is moved back afterwards.
+and the Sherman-Morrison-Woodbury identity gives it in closed form,
+
+    L = A + a S^{-1} b*,    S = kappa - b* A^{-1} a,
+
+where S is the coupling that admissibility keeps invertible (the report's
+kappa_minus_omega).  build_matrix forms the closed form: one r x r solve and
+one (N x r)(r x N) product, O(N^2 r) time and one N x N array.  The inverse
+form is kept only as the reference MatrixRealization.inverse_residual checks
+the closed form against.  When kappa is not invertible a deterministic scan
+picks a real shift lambda with invertible shifted coupling
+kappa(lambda) = kappa + lambda b*(A - lambda)^{-1} A^{-1} a, builds over
+A - lambda and moves the spectrum back; the shifted data have the same S, so
+both routes give the same L.
 
 The spectrum is computed two independent ways: dense eigensolve of L (the
 oracle) and zeros of the generating function phi (the model route).  For
@@ -75,30 +85,50 @@ def shifted_data(data, lam):
     return RankNData(base, data.a.copy(), data.b.copy(), kl)
 
 
+def _inverse_form(data):
+    """The paper's m = A^{-1} - (A^{-1} a) kappa^{-1} (b* A^{-1}), kappa
+    invertible: L is its inverse."""
+    a, b, kappa = _columns(data)
+    ainv = 1.0 / data.t
+    # b* A^{-1} y = b^H diag(mu/t) y  (weighted adjoint)
+    bstar_ainv = b.conj().T * (data.mu * ainv)
+    m = -((a * ainv[:, None]) @ np.linalg.inv(kappa) @ bstar_ainv)
+    m[np.diag_indices(ainv.size)] += ainv
+    return m
+
+
 @dataclass(frozen=True)
 class MatrixRealization:
     L: np.ndarray
     route: tuple  # ("direct",) or ("shift", lambda)
     data: object
-    inverse_residual: float
+
+    @property
+    def inverse_residual(self):
+        """||L m - I|| / (||L|| ||m||), m the inverse form of the data (on the
+        shift route, of the shifted data, against L - lambda): the closed
+        form checked against the paper's definition.  Formed when read, at
+        the cost of an N x N inverse form and an N^3 product."""
+        L, data = self.L, self.data
+        if self.route[0] == "shift":
+            lam = self.route[1]
+            data = shifted_data(data, lam)
+            L = L.copy()
+            L[np.diag_indices(len(data.t))] -= lam
+        m = _inverse_form(data)
+        prod = L @ m
+        prod[np.diag_indices(len(data.t))] -= 1.0
+        return float(np.linalg.norm(prod)
+                     / (np.linalg.norm(L) * np.linalg.norm(m)))
 
 
-def _build_direct(data):
-    a, b, kappa = _columns(data)
-    t, mu = data.t, data.mu
-    n = a.shape[1]
-    ainv = 1.0 / t
-    kinv = np.linalg.inv(kappa)
-    # b* A^{-1} y = b^H diag(mu/t) y  (weighted adjoint)
-    bstar_ainv = b.conj().T * (mu * ainv)
-    m = np.diag(ainv).astype(complex) - (a * ainv[:, None]) @ kinv @ bstar_ainv
-    try:
-        L = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise AdmissibilityError(f"inverse-form matrix is singular: {exc}")
-    resid = np.linalg.norm(L @ m - np.eye(len(t))) / (
-        np.linalg.norm(L) * np.linalg.norm(m))
-    return L, resid
+def _closed_form(data, s):
+    """L = A + a S^{-1} b* = diag(t) + a S^{-1} b^H diag(mu), S the
+    coupling kappa - b* A^{-1} a of the data: one N x N array."""
+    a, b, _ = _columns(data)
+    L = a @ np.linalg.solve(np.atleast_2d(s), b.conj().T * data.mu)
+    L[np.diag_indices(len(data.t))] += data.t
+    return L
 
 
 def _kappa_invertible(kappa_mat, tol=1e-12):
@@ -119,8 +149,8 @@ def build_matrix(data, route="auto"):
         raise BadParameters(f"unknown route {route!r}")
     if route != "shift":
         if _kappa_invertible(_columns(data)[2]):
-            L, resid = _build_direct(data)
-            return MatrixRealization(L, ("direct",), data, resid)
+            L = _closed_form(data, report.kappa_minus_omega)
+            return MatrixRealization(L, ("direct",), data)
         if route == "direct":
             raise AdmissibilityError("kappa not invertible; use the shift route")
     t = data.t
@@ -133,9 +163,9 @@ def build_matrix(data, route="auto"):
         s = np.linalg.svd(kl_mat, compute_uv=False)
         if s[-1] > 1e-8:
             shifted = shifted_data(data, lam)
-            L, resid = _build_direct(shifted)
-            return MatrixRealization(L + lam * np.eye(len(t)),
-                                     ("shift", float(lam)), data, resid)
+            L = _closed_form(shifted, validate(shifted).kappa_minus_omega)
+            L[np.diag_indices(len(t))] += lam
+            return MatrixRealization(L, ("shift", float(lam)), data)
     raise NoInvertibleShift("no invertible shifted coupling among 1000 candidates")
 
 

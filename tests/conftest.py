@@ -155,6 +155,17 @@ def separated_instance(rng, n, lo=-20.0, hi=20.0, kappa_margin=0.25):
             return make_data(t, mu, a, b, kappa)
 
 
+def inverse_form(data):
+    """The paper's m = A^{-1} - (A^{-1} a) kappa^{-1} (b* A^{-1}), of which
+    the realization L is the inverse (kappa invertible)."""
+    a, b, kappa = data.a, data.b, np.atleast_2d(data.kappa)
+    if a.ndim == 1:
+        a, b = a[:, None], b[:, None]
+    ainv = 1.0 / data.t
+    return np.diag(ainv) - (a * ainv[:, None]) @ np.linalg.inv(kappa) \
+        @ (b.conj().T * (data.mu * ainv))
+
+
 def no_eigensolve(monkeypatch):
     """Make np.linalg.eigvals, the secular solver's fallback start, raise."""
     def refuse(a):

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from perturblab.cli import main
+from perturblab.data import DiscreteSpectralData, RankNData
 from perturblab.problemio import (canonical_dumps, parse_problem,
                                   serialize_problem)
+from perturblab._numutil import matched_max_distance
+
+from conftest import inverse_form
 
 TWO_ATOM = """{"atoms": [{"t": -1.0, "mu": 1.0}, {"t": 1.0, "mu": 1.0}],
  "a": [[1.0, 0.0], [1.0, 0.0]],
@@ -288,6 +292,22 @@ class TestArtifacts:
         assert lines[0] == "re_z,im_z,re_F,im_F"
         assert len(lines) == 5  # header + 1 point + 3 grid rows
 
+    def test_model_eval_manifest_keys_the_csv_directory(self, tmp_path,
+                                                       problem_file):
+        from perturblab.problemio import RunManifest, artifact_dir
+
+        out = tmp_path / "out"
+        assert main(["--quiet", "--out", str(out), "model", "eval",
+                     str(problem_file), "--which", "rho", "--z", "0.5,0.5",
+                     "--real-grid", "2:3:3", "--imag", "0.25"]) == 0
+        doc, path = read_artifact(out, "model-eval", "model_eval")
+        assert doc["result"] == {"which": "rho", "imag": 0.25,
+                                 "real_grid": "2:3:3", "points": 4}
+        manifest = RunManifest(**{k: v for k, v in doc["manifest"].items()
+                                  if k != "build"})
+        assert artifact_dir(out, manifest) == path.parent
+        assert (path.parent / "eval_rho.csv").is_file()
+
     @pytest.mark.parametrize("z", ["1e308,0", "-1e308,0", "0,1e308"])
     def test_model_eval_far_out_is_finite(self, tmp_path, z):
         # phi has the finite limit beta(inf)(1 + Theta(inf))/2 there
@@ -539,6 +559,47 @@ class TestRankN:
                      "macaev", str(rank2_file)]) == 0
         doc, _ = read_artifact(tmp_path / "out", "diagnose-macaev", "macaev")
         assert doc["result"]["invertible"] is True
+
+    @staticmethod
+    def coupled_file(tmp_path, transpose):
+        """Six atoms, rank two, kappa = omega = b* A^{-1} a or its
+        transpose: the realization inverts kappa - omega, which is 0 for
+        the first and the well-conditioned omega^T - omega for the second."""
+        rng = np.random.Generator(np.random.Philox(6))
+        t = np.array([-3.0, -2.0, -1.0, 1.0, 2.5, 4.0])
+        mu = rng.uniform(0.5, 2.0, 6)
+        a, b = (rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+                for _ in "ab")
+        omega = (b.conj().T * (mu / t)) @ a
+        kappa = omega.T if transpose else omega
+        data = RankNData(DiscreteSpectralData(t, mu), a, b, kappa)
+        path = tmp_path / f"coupled_{int(transpose)}.json"
+        path.write_text(serialize_problem(data))
+        return path, data
+
+    def test_coupling_singular_is_refused(self, tmp_path, capsys):
+        path, _ = self.coupled_file(tmp_path, transpose=False)
+        out = tmp_path / "out"
+        for argv in (["validate"], ["spectrum"], ["diagnose", "macaev"]):
+            assert main(["--quiet", "--out", str(out)] + argv
+                        + [str(path)]) == (0 if argv != ["spectrum"] else 2)
+        assert "admissibility condition fails" in capsys.readouterr().err
+        doc, _ = read_artifact(out, "validate", "report")
+        assert doc["result"]["condition_A"] is False
+        assert doc["result"]["condition_A_star"] is False
+        doc, _ = read_artifact(out, "diagnose-macaev", "macaev")
+        assert doc["result"]["invertible"] is False
+
+    def test_coupling_transposed_runs(self, tmp_path):
+        path, data = self.coupled_file(tmp_path, transpose=True)
+        out = tmp_path / "out"
+        assert main(["--quiet", "--out", str(out), "spectrum",
+                     str(path)]) == 0
+        doc, _ = read_artifact(out, "spectrum", "spectrum")
+        got = np.array([complex(*z) for z in doc["result"]["oracle"]])
+        want = np.linalg.eigvals(np.linalg.inv(inverse_form(data)))
+        assert np.all(np.isfinite(got)) and np.max(np.abs(got)) < 100.0
+        assert matched_max_distance(got, want) <= 1e-9 * np.max(np.abs(want))
 
     def test_round_trip_rank_two(self):
         canonical = serialize_problem(parse_problem(RANK_TWO))

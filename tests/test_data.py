@@ -126,6 +126,20 @@ class TestOmega:
         assert np.allclose(omega_matrix(data.adjoint()),
                            omega_matrix(data).conj().T, atol=1e-13)
 
+    def test_omega_is_b_star_a_inv_a(self, rng):
+        # kappa - omega is then the coupling S = kappa - b* A^{-1} a that
+        # the realization inverts; kappa = omega^T leaves S invertible
+        base = DiscreteSpectralData([-2.0, 0.5, 3.0], [1.0, 0.3, 2.0])
+        a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        b = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        want = (b.conj().T * (base.mu / base.t)) @ a
+        data = RankNData(base, a, b, np.eye(2, dtype=complex))
+        assert np.allclose(omega_matrix(data), want, atol=1e-13)
+        for kappa, admissible in ((want, False), (want.T, True)):
+            rep = validate(RankNData(base, a, b, kappa))
+            assert rep.condition_A is admissible
+            assert rep.condition_A_star is admissible
+
     def test_rank_n_condition_matches_star(self, rng):
         base = DiscreteSpectralData([-2.0, 0.5, 3.0], [1.0, 0.3, 2.0])
         a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))

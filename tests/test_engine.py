@@ -16,8 +16,8 @@ from perturblab.gallery import sharp_instance
 from perturblab._numutil import (cluster_points, kahan_sum,
                                  matched_max_distance)
 
-from conftest import (beta_numerators, make_data, no_eigensolve,
-                      random_instance, separated_instance)
+from conftest import (beta_numerators, inverse_form, make_data,
+                      no_eigensolve, random_instance, separated_instance)
 
 
 def cubic_discriminant(c):
@@ -108,10 +108,76 @@ class TestBuildMatrix:
                 1.0, np.max(np.abs(base)))
 
 
+def random_rank_two(rng, n, margin=0.5):
+    """Rank-two data over n separated atoms of [-20, 20], with kappa drawn
+    until its coupling kappa - b* A^{-1} a and kappa itself both have a
+    smallest singular value of at least margin."""
+    t = separated_instance(rng, n).t
+    mu = rng.uniform(0.5, 2.0, n)
+    a, b = (rng.uniform(0.5, 1.0, (n, 2))
+            * np.exp(2j * np.pi * rng.uniform(size=(n, 2))) for _ in "ab")
+    omega = (b.conj().T * (mu / t)) @ a
+    while True:
+        kappa = rng.uniform(-3, 3, (2, 2)) + 1j * rng.uniform(-3, 3, (2, 2))
+        if min(np.linalg.svd(m, compute_uv=False)[-1]
+               for m in (kappa, kappa - omega)) >= margin:
+            return RankNData(DiscreteSpectralData(t, mu), a, b, kappa)
+
+
+class TestClosedForm:
+    """build_matrix forms L = A + a S^{-1} b*, S = kappa - b* A^{-1} a."""
+
+    @pytest.mark.parametrize("route", ["direct", "shift"])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_matches_inverse_form(self, rng, rank, route):
+        for _ in range(10):
+            data = (random_instance(rng, 8) if rank == 1
+                    else random_rank_two(rng, 8))
+            L = build_matrix(data, route=route).L
+            want = np.linalg.inv(inverse_form(data))
+            assert np.linalg.norm(L - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_shift_route_gives_the_direct_matrix(self, rng, rank):
+        # the shifted data have the same coupling: S(lambda) = S
+        for _ in range(10):
+            data = (random_instance(rng, 8) if rank == 1
+                    else random_rank_two(rng, 8))
+            direct = build_matrix(data, route="direct")
+            shift = build_matrix(data, route="shift")
+            assert shift.route[0] == "shift" and shift.route[1] != 0.0
+            assert np.linalg.norm(shift.L - direct.L) <= \
+                1e-13 * np.linalg.norm(direct.L)
+
+    @pytest.mark.parametrize("route", ["direct", "shift"])
+    @pytest.mark.parametrize("rank, n", [(1, 1024), (2, 512)])
+    def test_one_n_by_n_array(self, rank, n, route):
+        import tracemalloc
+
+        rng = np.random.Generator(np.random.Philox(n))
+        data = (separated_instance(rng, n) if rank == 1
+                else random_rank_two(rng, n))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            M = build_matrix(data, route=route)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M.route[0] == route
+        assert peak < 1.5 * 16 * n * n
+
+    def test_inverse_residual_reads_the_inverse_form(self, two_atom):
+        M = build_matrix(two_atom)
+        assert M.inverse_residual <= 1e-15
+        wrong = MatrixRealization(M.L + 1e-3, M.route, M.data)
+        assert wrong.inverse_residual > 1e-5
+
+
 class TestOracle:
     def test_plain_diagonal(self):
         M = MatrixRealization(np.diag([1.0, 2.0, 3.0]).astype(complex),
-                              ("direct",), None, 0.0)
+                              ("direct",), None)
         osp = oracle_spectrum(M)
         assert np.sort(osp.clusters.real) == pytest.approx([1.0, 2.0, 3.0])
         assert all(b == (1,) for b in osp.jordan)
