@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .errors import MatchingFailure
+
 
 def kahan_sum(values):
     """Kahan-compensated sum of an iterable of (possibly complex) scalars."""
@@ -184,44 +186,105 @@ def numerical_rank(mat, rtol=1e-10):
     return int(np.count_nonzero(s > rtol * s[0]))
 
 
-def hausdorff_distance(xs, ys):
-    """Hausdorff distance between two finite point sets in the plane."""
+def distances(xs, ys):
+    """|x_i - y_j|, row i for the point x_i of xs and column j for y_j."""
     xs = np.asarray(xs, dtype=complex).ravel()
     ys = np.asarray(ys, dtype=complex).ravel()
-    if xs.size == 0 and ys.size == 0:
-        return 0.0
-    if xs.size == 0 or ys.size == 0:
-        return np.inf
-    d = np.abs(xs[:, None] - ys[None, :])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return np.abs(xs[:, None] - ys[None, :])
+
+
+def hausdorff_distance(dist):
+    """Hausdorff distance between two finite point sets in the plane, from
+    their distances(xs, ys)."""
+    if dist.size == 0:
+        return 0.0 if dist.shape == (0, 0) else np.inf
+    return float(max(dist.min(axis=1).max(), dist.min(axis=0).max()))
 
 
 def assignment(cost):
-    """col with row i paired to column col[i]: the assignment that minimises
-    the summed cost over a square cost matrix."""
-    from scipy.optimize import linear_sum_assignment
+    """col with row i paired to column col[i]: a bottleneck assignment of a
+    square cost matrix, one whose largest cost max_i cost[i, col[i]] is the
+    least over all bijections.
 
-    # the rows it returns are arange for a square matrix
-    return linear_sum_assignment(cost)[1]
-
-
-def matched_max_distance(xs, ys):
-    """Largest distance of the assignment of xs to ys minimising the summed
-    distance; inf when the sets differ in size.
-
-    The assignment minimises the sum, not the largest distance, so this is
-    an upper bound on the optimal (bottleneck) matching distance, the least
-    max_i |x_i - y_pi(i)| over bijections pi (Bhatia, Matrix Analysis,
-    GTM 169, Ch. VI).
+    Every bijection costs at least max_i min_j cost[i, j], and the
+    nearest-neighbour map argmin(cost, axis=1) attains it, so that map is
+    the answer whenever it is a bijection.  Otherwise the least cost at or
+    above that bound at which the costs cost[i, j] <= threshold still admit
+    a perfect matching is found by bisection over the sorted costs, each
+    threshold tested by augmenting paths (Hopcroft & Karp, SIAM J. Comput.
+    2, 1973) from the injective part of the nearest-neighbour map.  A
+    non-finite cost raises MatchingFailure.
     """
-    xs = np.asarray(xs, dtype=complex).ravel()
-    ys = np.asarray(ys, dtype=complex).ravel()
-    if xs.size != ys.size:
+    if not np.all(np.isfinite(cost)):
+        raise MatchingFailure("cannot match point sets with a non-finite "
+                              "distance between them")
+    nearest = np.argmin(cost, axis=1)
+    if np.unique(nearest).size == nearest.size:
+        return nearest
+    bound = cost[np.arange(nearest.size), nearest].max()
+    thresholds = np.unique(cost[cost >= bound])
+    lo, hi = 0, thresholds.size - 1     # every cost is allowed at hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _perfect_matching(cost <= thresholds[mid], nearest) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return _perfect_matching(cost <= thresholds[lo], nearest)
+
+
+def _perfect_matching(allowed, start):
+    """col with row i paired to column col[i] and every allowed[i, col[i]],
+    or None when the boolean matrix allowed admits no perfect matching.
+
+    The matching starts from the pairs (i, start[i]) of the first row to
+    claim each column, which must be allowed, and grows by one augmenting
+    path per unmatched row, found by a breadth-first search that crosses
+    from the rows of a level to their allowed unseen columns, and from a
+    matched column to its row.  When the search from a row ends without a
+    free column, the rows it reached have fewer allowed columns than
+    themselves, so no perfect matching exists (Hall's theorem).
+    """
+    n = len(allowed)
+    row_of = np.full(n, -1)          # the row matched to each column
+    col_of = np.full(n, -1)          # the column matched to each row
+    first = np.unique(start, return_index=True)[1]
+    row_of[start[first]] = first
+    col_of[first] = start[first]
+    for root in np.flatnonzero(col_of < 0):
+        came_from = np.full(n, -1)   # the row each column was reached from
+        seen = np.zeros(n, dtype=bool)
+        rows = np.array([root])
+        while True:
+            reach = allowed[rows] & ~seen
+            cols = np.flatnonzero(reach.any(axis=0))
+            if cols.size == 0:
+                return None
+            came_from[cols] = rows[np.argmax(reach[:, cols], axis=0)]
+            seen[cols] = True
+            free = cols[row_of[cols] < 0]
+            if free.size:
+                break
+            rows = row_of[cols]
+        # flip the path from the free column back to root
+        col = free[0]
+        while col >= 0:
+            row = came_from[col]
+            col_of[row], row_of[col], col = col, row, col_of[row]
+    return col_of
+
+
+def matched_max_distance(dist):
+    """The optimal matching distance of two point sets from their
+    distances(xs, ys): the least max_i |x_i - y_pi(i)| over bijections pi
+    (Bhatia, Matrix Analysis, GTM 169, Ch. VI), through assignment; inf
+    when the sets differ in size.
+    """
+    if dist.shape[0] != dist.shape[1]:
         return np.inf
-    if xs.size == 0:
+    if dist.size == 0:
         return 0.0
-    cost = np.abs(xs[:, None] - ys[None, :])
-    return float(cost[np.arange(xs.size), assignment(cost)].max())
+    return float(dist[np.arange(len(dist)), assignment(dist)].max())
 
 
 def cluster_points(points, radius):

@@ -24,7 +24,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import click
-import mpmath as mp
 import numpy as np
 
 from . import __version__
@@ -138,6 +137,10 @@ class Settings:
 @click.pass_context
 def cli(ctx, tol, out, seed, quiet):
     """Numerical laboratory for finite-rank singular perturbations."""
+    if tol is not None and tol < 0:
+        raise BadParameters(f"--tol must not be negative, got {tol}")
+    if seed < 0:
+        raise BadParameters(f"--seed must not be negative, got {seed}")
     ctx.obj = Settings(tol, out, seed, quiet)
 
 
@@ -537,6 +540,8 @@ def section4_cmd(cfg, truncation, spectrum_file):
         "inv_t_n2_partial": pipe.inv_t_n2_partial,
         "double_precision_max_k": pipe.double_precision_max_k,
     })
+    import mpmath as mp
+
     # d and nu at 17 digits of their extended-precision values: in float64
     # nu underflows past double_precision_max_k
     rows = ((t, mp.nstr(d_n, 17), mp.nstr(nu_n, 17))

@@ -40,7 +40,7 @@ from .data import RankOneData, RankNData, validate
 from .model import (BATCH_ELEMENTS, CauchyRepresentation, ModelPair,
                     build_model, kernel_k)
 from ._numutil import (assignment, cabs, cluster_points, cmul,
-                       difference_quotient, matched_max_distance,
+                       difference_quotient, distances, matched_max_distance,
                        hausdorff_distance, numerical_rank, kahan_sum,
                        sum_by_abs_pole)
 
@@ -381,9 +381,9 @@ class SpectrumResult:
 
 
 def compute_spectrum(data, route="auto", model=None):
-    """Oracle and model spectra, and the largest distance of their
-    assignment (matched_max_distance, an upper bound on the optimal
-    matching distance).
+    """Oracle and model spectra, their optimal matching distance
+    (match_residual, from matched_max_distance) and their Hausdorff
+    distance, both from one matrix of distances.
 
     The model route applies to rank-one data; rank-n results carry the
     oracle spectrum only (match_residual is nan).
@@ -399,9 +399,9 @@ def compute_spectrum(data, route="auto", model=None):
         return SpectrumResult(oracle.eigenvalues, empty, float("nan"),
                               float("nan"), oracle, zeros, M.route)
     zeros = phi_zeros(model)
-    resid = matched_max_distance(oracle.eigenvalues, zeros.zeros)
-    hd = hausdorff_distance(oracle.eigenvalues, zeros.zeros)
-    return SpectrumResult(oracle.eigenvalues, zeros.zeros, resid, hd,
+    dist = distances(oracle.eigenvalues, zeros.zeros)
+    return SpectrumResult(oracle.eigenvalues, zeros.zeros,
+                          matched_max_distance(dist), hausdorff_distance(dist),
                           oracle, zeros, M.route)
 
 
@@ -451,7 +451,7 @@ def eigensystem(data: RankOneData, model=None, matrix=None):
     t, mu, nu = data.t, data.mu, data.nu
 
     evals, evecs = np.linalg.eig(matrix.L)
-    evecs = evecs[:, assignment(np.abs(lams[:, None] - evals))]
+    evecs = evecs[:, assignment(distances(lams, evals))]
 
     diff = t - lams[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):   # checked below

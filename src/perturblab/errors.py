@@ -74,6 +74,11 @@ class NotLacunary(PerturbLabError):
     """A computed lacunary sequence breaks one of its defining inequalities."""
 
 
+class MatchingFailure(PerturbLabError):
+    """Two point sets cannot be matched: a distance between them is not
+    finite."""
+
+
 class ToleranceFailure(PerturbLabError):
     """A cross-check exceeded its tolerance (CLI exit code 3)."""
 

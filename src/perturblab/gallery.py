@@ -18,7 +18,6 @@ completeness claim is asserted.
 import math
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (BadParameters, BisectionFailure, ExhaustedInput,
@@ -83,6 +82,8 @@ def cos_pi_sqrt(z):
     root gives the same value.  mpmath evaluates it with 20 digits plus one
     per decade of |z|, which keeps the error from rounding the argument
     pi sqrt(z) near 1e-20 max(1, |cos(pi sqrt(z))|)."""
+    import mpmath as mp
+
     z = complex(z)
     with mp.workdps(20 + int(np.log10(1.0 + abs(z)))):
         return complex(mp.cos(mp.pi * mp.sqrt(mp.mpc(z))))
@@ -146,8 +147,10 @@ def lacunary_sequence(t_seq, max_terms=64):
     x_1 = 2; each next x_{k+1} = max((2 x_k)^2, t*^2) + 1 where t* is the
     smallest spectrum point above 2 x_k, so that 2 x_k < sqrt(x_{k+1}) and
     the open interval (2 x_k, sqrt(x_{k+1})) contains a spectrum point.
-    Consequently x_k >= 2^(2^(k-1)).
+    Consequently x_k >= 2^(2^(k-1)).  max_terms must be at least 2.
     """
+    if max_terms < 2:
+        raise BadParameters(f"need at least 2 terms, got {max_terms}")
     t = np.sort(np.asarray(t_seq, dtype=float))
     xs = [2.0]
     for _ in range(max_terms - 1):
@@ -246,6 +249,8 @@ def section4_build(t_seq, truncation, dps=SECTION4_DPS):
     on a second doubling subsequence, nu_n = 2^n d_n^2 elsewhere.  All
     identity families are checked in `dps`-digit arithmetic.
     """
+    import mpmath as mp
+
     if not 6 <= truncation <= 200:
         raise BadParameters(f"truncation must lie in 6..200, got {truncation}")
     t_np = np.sort(np.asarray(t_seq, dtype=float))[:truncation]
@@ -424,6 +429,8 @@ def _worst_rel_error(lhs, rhs, points):
 def _gap_zero(f, lo, hi):
     """The zero of f in the gap (lo, hi), across which f changes sign, by a
     bracketed Ridders solve in the working precision."""
+    import mpmath as mp
+
     pad = (hi - lo) * mp.mpf("1e-30")
     a_, b_ = lo + pad, hi - pad
     if not f(a_) * f(b_) < 0:

@@ -9,7 +9,7 @@ from perturblab.cli import main
 from perturblab.data import DiscreteSpectralData, RankNData
 from perturblab.problemio import (canonical_dumps, parse_problem,
                                   serialize_problem)
-from perturblab._numutil import matched_max_distance
+from perturblab._numutil import distances, matched_max_distance
 
 from conftest import inverse_form
 
@@ -168,12 +168,22 @@ class TestExitCodes:
         ["gallery", "section4", "--k", "0"],
         ["gallery", "section4", "--k", "201"],
         ["gallery", "section4", "--spectrum", "{spectrum}", "--k", "12"],
+        ["gallery", "lacunary", "--spectrum", "{spectrum}", "--max-terms",
+         "1"],
+        ["gallery", "lacunary", "--spectrum", "{spectrum}", "--max-terms",
+         "-3"],
+        ["--seed", "-1", "diagnose", "synthesis", "{problem}"],
+        ["--tol", "-1", "spectrum", "{problem}"],
+        ["--tol", "-1e-300", "compare", "{problem}"],
     ])
     def test_out_of_range_parameter_exit_two(self, tmp_path, problem_file,
                                              argv, capsys):
         # an empty sum or grid would end in a traceback or a nan, mass
         # refuses the zeta that clark refuses, and section4 takes 6 to 200
-        # atoms, as many as its truncation
+        # atoms, as many as its truncation; a lacunary sequence of fewer
+        # than 2 terms once blamed the spectrum (exit 4), a negative --seed
+        # ended in a traceback and a negative --tol blamed the two routes
+        # (exit 3)
         spectrum = tmp_path / "spectrum.json"
         spectrum.write_text(json.dumps(list(range(1, 11))))
         argv = [a.format(problem=problem_file, spectrum=spectrum)
@@ -599,7 +609,8 @@ class TestRankN:
         got = np.array([complex(*z) for z in doc["result"]["oracle"]])
         want = np.linalg.eigvals(np.linalg.inv(inverse_form(data)))
         assert np.all(np.isfinite(got)) and np.max(np.abs(got)) < 100.0
-        assert matched_max_distance(got, want) <= 1e-9 * np.max(np.abs(want))
+        assert matched_max_distance(distances(got, want)) \
+            <= 1e-9 * np.max(np.abs(want))
 
     def test_round_trip_rank_two(self):
         canonical = serialize_problem(parse_problem(RANK_TWO))
@@ -637,31 +648,6 @@ class TestMoreDiagnose:
         doc, _ = read_artifact(tmp_path / "out", "diagnose-integral",
                                "integral")
         assert doc["result"]["convergent"] is True
-
-    def test_integral_and_clark_need_no_scipy_integrate(self, tmp_path):
-        # in a fresh interpreter: the one quadrature routine is the
-        # Gauss-Legendre panel bisection, so scipy.integrate stays unloaded
-        import os
-        import subprocess
-        import sys
-
-        import perturblab
-        path = tmp_path / "six_atom.json"
-        path.write_text(SIX_ATOM)
-        script = (
-            "import sys\n"
-            "from perturblab.cli import main\n"
-            f"out, p = {str(tmp_path / 'out')!r}, {str(path)!r}\n"
-            "codes = [main(['--quiet', '--out', out] + argv) for argv in (\n"
-            "    ['diagnose', 'integral', p, '--n', '2', '--tau', '1',\n"
-            "     '--eta', '1'],\n"
-            "    ['clark', p, '--zeta=0,1'])]\n"
-            "print(codes, 'scipy.integrate' in sys.modules)\n")
-        src = os.path.dirname(os.path.dirname(perturblab.__file__))
-        res = subprocess.run([sys.executable, "-c", script],
-                             capture_output=True, text=True,
-                             env=dict(os.environ, PYTHONPATH=src))
-        assert res.stdout == "[0, 0] False\n", res.stderr
 
     def test_integral_real_zero_is_numerical_failure(self, tmp_path,
                                                      problem_file):
@@ -795,3 +781,93 @@ class TestFuzz:
         assert code in range(5)
         if option in ("zeta", "z") and self.non_finite(value):
             assert code == 2
+
+
+#: commands that compute in double precision: they run with neither scipy
+#: nor mpmath importable
+DOUBLE_PRECISION = {
+    "spectrum": ["spectrum", "{problem}"],
+    "compare": ["compare", "{problem}"],
+    "validate": ["validate", "{problem}"],
+    "clark": ["clark", "{problem}", "--zeta=0,1"],
+    "model eval": ["model", "eval", "{problem}", "--z=1,1"],
+    "diagnose growth": ["diagnose", "growth", "{problem}"],
+    "diagnose integral": ["diagnose", "integral", "{problem}", "--n", "2",
+                          "--tau", "1", "--eta", "1"],
+    "diagnose macaev": ["diagnose", "macaev", "{problem}"],
+    "diagnose mass": ["diagnose", "mass", "{problem}"],
+    "diagnose synthesis": ["diagnose", "synthesis", "{problem}"],
+    "diagnose volterra-window": ["diagnose", "volterra-window", "{problem}",
+                                 "--rect=-10,10,0.5,2"],
+    "gallery sharp": ["gallery", "sharp", "--eps", "1", "--n", "20",
+                      "--rect=0,10,0,1"],
+    "gallery lacunary": ["gallery", "lacunary", "--spectrum", "{spectrum}"],
+}
+#: commands that compute in extended precision: mpmath, which the command
+#: loads, and no scipy
+EXTENDED_PRECISION = {
+    "gallery section4": ["gallery", "section4", "--k", "8"],
+    "gallery ml-check": ["gallery", "ml-check", "--n", "100"],
+}
+
+BLOCKED_RUN = """\
+import json, sys
+blocked, out, commands = json.loads(sys.argv[1])
+for name in blocked:
+    sys.modules[name] = None    # an import of it now raises ImportError
+from perturblab.cli import main
+loaded = [name for name in ("scipy", "mpmath") if sys.modules.get(name)]
+codes = {}
+for name, argv in commands.items():
+    try:
+        codes[name] = main(["--quiet", "--out", out] + argv)
+    except ImportError as exc:
+        codes[name] = repr(exc)
+print(json.dumps({"loaded_by_import": loaded, "codes": codes}))
+"""
+
+
+def run_blocked(tmp, blocked, commands):
+    """Run commands ({name: argv}) through main, one after another, in a
+    fresh interpreter in which no module named in blocked can be imported.
+    Returns the exit code (or the ImportError) of each command, and which
+    of scipy and mpmath importing perturblab.cli loaded."""
+    import os
+    import subprocess
+    import sys
+
+    import perturblab
+    problem, spectrum = tmp / "six_atom.json", tmp / "spectrum.json"
+    problem.write_text(SIX_ATOM)
+    spectrum.write_text(json.dumps([1, 2, 3, 5, 8, 13, 30, 1000]))
+    argvs = {name: [a.format(problem=problem, spectrum=spectrum)
+                    for a in argv] for name, argv in commands.items()}
+    src = os.path.dirname(os.path.dirname(perturblab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", BLOCKED_RUN,
+         json.dumps([blocked, str(tmp / "out"), argvs])],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestLeanImports:
+    @pytest.fixture(scope="class")
+    def double_runs(self, tmp_path_factory):
+        return run_blocked(tmp_path_factory.mktemp("double"),
+                           ["scipy", "mpmath"], DOUBLE_PRECISION)
+
+    @pytest.fixture(scope="class")
+    def extended_runs(self, tmp_path_factory):
+        return run_blocked(tmp_path_factory.mktemp("extended"), ["scipy"],
+                           EXTENDED_PRECISION)
+
+    @pytest.mark.parametrize("command", DOUBLE_PRECISION)
+    def test_double_precision_needs_neither(self, double_runs, command):
+        assert double_runs["codes"][command] == 0
+
+    @pytest.mark.parametrize("command", EXTENDED_PRECISION)
+    def test_extended_precision_loads_mpmath_itself(self, extended_runs,
+                                                    command):
+        assert extended_runs["loaded_by_import"] == []
+        assert extended_runs["codes"][command] == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from perturblab.data import DiscreteSpectralData, RankNData
-from perturblab.errors import AdmissibilityError
+from perturblab.errors import AdmissibilityError, MatchingFailure
 from perturblab.model import CauchyRepresentation, build_model, kernel_k
 from perturblab.engine import (ABERTH_ITERATIONS, MatrixRealization,
                                _aberth_refine, _beta_infinity, _collisions,
@@ -13,7 +13,8 @@ from perturblab.engine import (ABERTH_ITERATIONS, MatrixRealization,
                                kappa_shift, oracle_spectrum, phi_zeros,
                                shifted_data)
 from perturblab.gallery import sharp_instance
-from perturblab._numutil import (cluster_points, kahan_sum,
+from perturblab._numutil import (assignment, cluster_points, distances,
+                                 hausdorff_distance, kahan_sum,
                                  matched_max_distance)
 
 from conftest import (beta_numerators, inverse_form, make_data,
@@ -281,6 +282,83 @@ class TestClusterPoints:
         assert mults.tolist() == ref_mults.tolist()
 
 
+def colliding_sets(rng, n, grid):
+    """Distances of two n-point sets whose nearest-neighbour map (row to
+    column) is not a bijection; on a grid of 3 x 3 integer points, with
+    ties and repeated points, else uniform in the unit square."""
+    while True:
+        if grid:
+            xs, ys = rng.integers(0, 3, (2, n)) + 1j * rng.integers(0, 3,
+                                                                    (2, n))
+        else:
+            xs, ys = rng.uniform(size=(2, n)) + 1j * rng.uniform(size=(2, n))
+        cost = distances(xs, ys)
+        if np.unique(np.argmin(cost, axis=1)).size < n:
+            return cost
+
+
+class TestAssignment:
+    @pytest.mark.parametrize("grid", [False, True], ids=["uniform", "grid"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bottleneck_equals_brute_force(self, rng, n, grid):
+        import itertools
+
+        perms = np.array(list(itertools.permutations(range(n))))
+        rows = np.arange(n)
+        for _ in range(10):
+            cost = colliding_sets(rng, n, grid)
+            col = assignment(cost)
+            assert sorted(col) == list(range(n))
+            assert cost[rows, col].max() == cost[rows, perms].max(axis=1).min()
+
+    @pytest.mark.parametrize("n", [20, 150])
+    def test_no_perfect_matching_below_the_bottleneck(self, rng, n):
+        # the min-sum assignment of the 0/1 costs [cost >= value] pays 0
+        # exactly when the costs below value alone hold a perfect matching
+        from scipy.optimize import linear_sum_assignment
+
+        rows = np.arange(n)
+        for _ in range(5):
+            cost = colliding_sets(rng, n, grid=False)
+            col = assignment(cost)
+            assert sorted(col) == list(rows)
+            value = cost[rows, col].max()
+            above = (cost >= value).astype(float)
+            assert above[rows, linear_sum_assignment(above)[1]].sum() >= 1.0
+            assert value <= cost[rows, linear_sum_assignment(cost)[1]].max()
+
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    def test_nearest_bijection_costs_what_scipy_does(self, rng, n):
+        from scipy.optimize import linear_sum_assignment
+
+        rows = np.arange(n)
+        xs = rng.uniform(-20.0, 20.0, n) + 1j * rng.uniform(-2.0, 2.0, n)
+        for noise in (1e-12, 1e-3, 1e-2):
+            ys = rng.permutation(xs + noise * (rng.normal(size=n)
+                                               + 1j * rng.normal(size=n)))
+            cost = distances(xs, ys)
+            col = assignment(cost)
+            assert col.tolist() == np.argmin(cost, axis=1).tolist()
+            assert cost[rows, col].max() == \
+                cost[rows, linear_sum_assignment(cost)[1]].max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_distance_raises(self, bad):
+        with pytest.raises(MatchingFailure):
+            matched_max_distance(distances([0.0, 1.0], [bad, 1.0]))
+
+    @pytest.mark.parametrize("xs, ys, matched, hausdorff", [
+        ([], [], 0.0, 0.0),
+        ([1.0], [], np.inf, np.inf),
+        ([0.0, 1.0], [3.0], np.inf, 3.0),
+        ([0.0, 0.0, 4.0], [0.0, 4.0, 4.0], 4.0, 0.0),
+    ])
+    def test_edge_cases(self, xs, ys, matched, hausdorff):
+        dist = distances(xs, ys)
+        assert matched_max_distance(dist) == matched
+        assert hausdorff_distance(dist) == hausdorff
+
+
 @pytest.fixture(scope="class")
 def separated_200():
     data = separated_instance(np.random.Generator(np.random.Philox(200)), 200)
@@ -298,7 +376,8 @@ class TestLargeTruncation:
         no_eigensolve(monkeypatch)
         zeros = phi_zeros(build_model(data))
         assert zeros.seeding == "first_order"
-        assert matched_max_distance(eigs, zeros.zeros) <= 1e-10 * scale
+        assert matched_max_distance(distances(eigs, zeros.zeros)) \
+            <= 1e-10 * scale
 
     @pytest.mark.parametrize("n", [400, 800, 2048])
     def test_model_route_matches_oracle_beyond_200(self, n, monkeypatch):
@@ -308,7 +387,8 @@ class TestLargeTruncation:
         no_eigensolve(monkeypatch)
         zeros = phi_zeros(build_model(data))
         assert zeros.seeding == "first_order"
-        assert matched_max_distance(eigs, zeros.zeros) <= 1e-10 * scale
+        assert matched_max_distance(distances(eigs, zeros.zeros)) \
+            <= 1e-10 * scale
 
     def test_2048_atoms_without_the_oracle(self, monkeypatch):
         # the power sums of the zeros are the traces of the secular matrix
@@ -339,7 +419,7 @@ class TestLargeTruncation:
         seeds[1] = seeds[0]
         roots, _, stopped = _aberth_refine(build_model(data).beta, seeds)
         assert stopped
-        assert matched_max_distance(eigs, roots) <= 1e-10 * scale
+        assert matched_max_distance(distances(eigs, roots)) <= 1e-10 * scale
 
 
 def step_points(monkeypatch):
@@ -383,7 +463,8 @@ class TestFreezing:
         assert len(sizes) == zeros.aberth_iterations
         assert sizes[0] == 200 and sizes[-1] < 200
         assert all(later <= size for size, later in zip(sizes, sizes[1:]))
-        assert matched_max_distance(eigs, zeros.zeros) <= 1e-10 * scale
+        assert matched_max_distance(distances(eigs, zeros.zeros)) \
+            <= 1e-10 * scale
 
     def test_frozen_roots_keep_their_values(self, separated_200, monkeypatch):
         data, _, _ = separated_200
@@ -423,7 +504,7 @@ class TestFreezing:
         assert after_1[c] == tn and after_1[pair[1]] == tn
         roots, _, stopped = _aberth_refine(beta, seeds)
         assert stopped and not np.any(repeats(roots))
-        assert matched_max_distance(zeros, roots) <= 1e-10 * max(
+        assert matched_max_distance(distances(zeros, roots)) <= 1e-10 * max(
             1.0, float(np.max(np.abs(zeros))))
 
     def test_collision_flags(self):
@@ -538,8 +619,8 @@ class TestSeeding:
         assert zeros.seeding == "first_order"
         assert data.t[11] in zeros.zeros
         eigs = oracle_spectrum(build_matrix(data)).eigenvalues
-        assert matched_max_distance(eigs, zeros.zeros) <= 1e-10 * max(
-            1.0, float(np.max(np.abs(eigs))))
+        assert matched_max_distance(distances(eigs, zeros.zeros)) \
+            <= 1e-10 * max(1.0, float(np.max(np.abs(eigs))))
 
     def test_budget_reports_when_the_stop_never_fires(self, separated_200):
         data, eigs, _ = separated_200
@@ -612,20 +693,18 @@ class TestAdjointAndGauge:
             1.0, np.linalg.norm(L))
 
     def test_adjoint_spectrum_conjugate(self, rng):
-        from perturblab._numutil import matched_max_distance
         for _ in range(10):
             data = random_instance(rng, 6)
             e1 = np.linalg.eigvals(build_matrix(data).L)
             e2 = np.linalg.eigvals(build_matrix(adjoint_data(data)).L)
-            assert matched_max_distance(np.conj(e1), e2) <= \
+            assert matched_max_distance(distances(np.conj(e1), e2)) <= \
                 1e-9 * max(1.0, np.max(np.abs(e1)))
 
     def test_real_type_spectrum_symmetric(self, rng):
-        from perturblab._numutil import matched_max_distance
         for _ in range(10):
             data = random_instance(rng, 6, real_type=True)
             eigs = np.linalg.eigvals(build_matrix(data).L)
-            assert matched_max_distance(eigs, np.conj(eigs)) <= \
+            assert matched_max_distance(distances(eigs, np.conj(eigs))) <= \
                 1e-8 * max(1.0, np.max(np.abs(eigs)))
 
     def test_gauge_identity_scalars(self, two_atom):

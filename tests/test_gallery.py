@@ -105,14 +105,15 @@ class TestZeroFreeness:
         # the monomial basis of the numerator underflows for these widely
         # spread atoms; the secular linearization of phi_zeros does not
         from perturblab.engine import build_matrix, oracle_spectrum, phi_zeros
-        from perturblab._numutil import matched_max_distance
+        from perturblab._numutil import distances, matched_max_distance
 
         inst = sharp_instance(1.0, 0.0, 0.0, 120)
         m = build_model(inst.data)
         eigs = oracle_spectrum(build_matrix(inst.data)).eigenvalues
         scale = max(1.0, float(np.max(np.abs(eigs))))
         zeros = phi_zeros(m)
-        assert matched_max_distance(eigs, zeros.zeros) <= 1e-10 * scale
+        assert matched_max_distance(distances(eigs, zeros.zeros)) \
+            <= 1e-10 * scale
         assert zeros.upper.size > 0
         assert max(abs(m.phi(z)) for z in zeros.upper) <= 1e-12
 

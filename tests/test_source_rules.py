@@ -1,9 +1,12 @@
-"""Rules of the error contract that the package source must keep.
+"""Rules that the package source must keep.
 
 Every failure reaches the command line as a typed PerturbLabError (exit
 codes 0-4, never a traceback): no handler may catch everything and carry
 on, no check may be an assert, which python -O strips, and no error may be
 a bare ValueError, which the command line does not map to an exit code.
+
+A command starts lean: scipy is no runtime dependency, and mpmath loads
+only inside the functions that compute in extended precision.
 """
 
 import ast
@@ -162,3 +165,45 @@ def test_kept_names_exist_and_stay_unreached():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def heavy_imports(tree):
+    """(line, what) of each import of scipy in a parsed module, and of each
+    import of mpmath outside a function body."""
+    in_functions = {id(inner) for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                    for inner in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        if "scipy" in roots:
+            found.append((node.lineno, "import scipy"))
+        if "mpmath" in roots and id(node) not in in_functions:
+            found.append((node.lineno, "module-level import mpmath"))
+    return found
+
+
+def test_heavy_imports_are_detected():
+    code = ("import scipy.optimize\n"
+            "from scipy import integrate\n"
+            "import mpmath as mp\n"
+            "from mpmath import mpf\n"
+            "from . import mpmath_free\n"
+            "def extended():\n    import mpmath\n"
+            "def solve():\n    from scipy.optimize import brentq\n"
+            "class Holder:\n    import mpmath\n")
+    assert heavy_imports(ast.parse(code)) == [
+        (1, "import scipy"), (2, "import scipy"),
+        (3, "module-level import mpmath"), (4, "module-level import mpmath"),
+        (9, "import scipy"), (11, "module-level import mpmath")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_and_no_eager_mpmath(path):
+    assert heavy_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
