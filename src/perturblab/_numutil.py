@@ -94,8 +94,8 @@ def gauss_legendre(fn, panels):
 def adaptive_panel(fn, panels, tol, wholes=None):
     """Gauss-Legendre panels, bisected until two levels agree within tol.
 
-    Resolves spikes, such as those of phi'/phi from zeros sitting just off
-    a window edge, which a fixed panel count can step over.  Each (a, b) of
+    Resolves spikes, such as those of N'/N from eigenvalues just off a
+    window edge, which a fixed panel count can step over.  Each (a, b) of
     panels is integrated with the tolerance tol, halved at each bisection;
     wholes, when given, are their gauss_legendre integrals, computed by the
     caller.  The refinement runs level by level: the nodes of every panel

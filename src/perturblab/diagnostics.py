@@ -16,9 +16,9 @@ import numpy as np
 from .errors import (BadParameters, ContourTooClose, DivergentNearRealZero,
                      NotBiorthogonal)
 from .data import omega_matrix
-from .model import (BATCH_ELEMENTS, CauchyRepresentation, ModelPair,
-                    lebesgue_integral, unimodular)
-from .engine import Eigensystem, phi_zeros, secular_zeros
+from .model import (BATCH_ELEMENTS, ModelPair, lebesgue_integral,
+                    unimodular)
+from .engine import Eigensystem, numerator_log_derivative, phi_zeros
 from ._numutil import adaptive_panel, cabs
 
 
@@ -291,45 +291,35 @@ def enumerate_partitions(eigsys: Eigensystem, budget=10000, seed=0):
 # Argument-principle window check
 # ---------------------------------------------------------------------------
 
-def _phi_poles(model: ModelPair):
-    """Poles of phi: the N zeros of i + rho, in np.sort_complex order.
-
-    i + rho is the Cauchy transform with the poles and weights of rho and
-    the constant i + delta; at infinity it is i + rho(infinity) != 0, so
-    engine.secular_zeros finds all N of them, one below each atom.
-    """
-    return secular_zeros(CauchyRepresentation(model.t, model.nu,
-                                              1j + model.delta))[0]
-
-
 @dataclass(frozen=True)
 class WindowReport:
     count: int
     winding_value: float
     boundary_min_abs_phi: float
     nudge: float
-    poles_added_back: int
+    poles_added_back: int            # always 0: no poles enter the count
 
 
 def volterra_window_check(model: ModelPair, rectangle):
-    """Count zeros of phi in a rectangle of the closed upper half-plane.
+    """Count the eigenvalues of L, the zeros of beta's numerator
+    N(z) = beta(z) prod_m (t_m - z), inside a rectangle; in the closed upper
+    half-plane they are the zeros of phi.
 
-    Argument-principle integral of phi'/phi over the rectangle boundary,
-    one quadrature panel per edge (a bottom edge within the nudge of the
-    real axis is split at the atoms), bisected only where two levels
-    disagree; a bottom edge on the real axis is nudged slightly below it
-    so real zeros are enclosed, with the nudge kept clear of the poles of
-    phi in the lower half-plane.  The poles are solved for only when
-    y1 <= max(cap, 1e-12) + 1e-15, cap = min(1e-3 max(1, x2 - x1), 0.2 y2)
-    being the largest nudge: above that line no pole lies in the window
-    (Im(i + rho) >= 1 there) and no edge takes the atoms as panel
-    breakpoints.  The report's nudge is the one applied: 0.0 unless
-    y1 = 0.  The winding integral is computed at most 8 times, the
-    quadrature tolerance divided by 4 each time, until it is within 0.05
-    of an integer with an error estimate of at most 0.02; a certified
-    distance above 0.1, or a phi'/phi not finite on the contour, raises
-    ContourTooClose.  A degenerate or non-finite rectangle raises
-    BadParameters.
+    Argument-principle integral of N'/N (engine.numerator_log_derivative)
+    over the rectangle boundary.  N'/N is singular only at the eigenvalues,
+    so the poles of phi below the axis play no part and none is solved
+    for: the winding number is the count, and poles_added_back is always
+    0.  A bottom edge on the real axis is nudged below it by
+    min(cap, 1e-6 max(1, max|t|)), cap = min(1e-3 max(1, x2 - x1), 0.2 y2),
+    so real eigenvalues are enclosed; the report's nudge is that distance,
+    0.0 when y1 != 0.  Each edge is one quadrature panel, except that a
+    bottom edge within cap of the axis is split at the atoms, and panels
+    are bisected only where two levels disagree.  The winding integral is
+    computed at most 8 times, the quadrature tolerance divided by 4 each
+    time, until it is within 0.05 of an integer with an error estimate of
+    at most 0.02; a certified distance above 0.1, or an N'/N not finite on
+    the contour, raises ContourTooClose.  A degenerate or non-finite
+    rectangle raises BadParameters.
     """
     x1, x2, y1, y2 = (float(v) for v in rectangle)
     if not (np.all(np.isfinite((x1, x2, y1, y2)))
@@ -338,44 +328,44 @@ def volterra_window_check(model: ModelPair, rectangle):
             f"degenerate rectangle {rectangle}: need x1 < x2 and "
             "max(y1, 0) < y2, all finite")
     cap = min(1e-3 * max(1.0, x2 - x1), 0.2 * y2)
-    if y1 > max(cap, 1e-12) + 1e-15:
-        # Im(i + rho) >= 1 on the closed upper half-plane, so no pole of phi
-        # lies there, and no nudge up to cap puts breakpoints on an edge
-        poles, nudge = np.empty(0, dtype=complex), 0.0
-    else:
-        poles = _phi_poles(model)
-        # the smallest pole depth near the window (poles sit where
-        # rho = -i, roughly a weight-depth below each atom)
-        near = poles[(poles.real >= x1 - 1.0) & (poles.real <= x2 + 1.0)]
-        depth = float(np.min(np.abs(near.imag))) if near.size else np.inf
-        nudge = min(cap, 0.25 * depth)
-    y_bot = y1 - nudge if y1 == 0.0 else y1
+    nudge = (min(cap, 1e-6 * max(1.0, float(np.max(np.abs(model.t)))))
+             if y1 == 0.0 else 0.0)
+    y_bot = y1 - nudge
     corners = [complex(x1, y_bot), complex(x2, y_bot),
                complex(x2, y2), complex(x1, y2)]
 
-    # panel breakpoints: atoms projected onto the horizontal edges
+    # panel breakpoints: atoms projected onto a bottom edge near the axis
     atoms_in = sorted(t for t in model.t if x1 < t < x2)
 
     def edge_panels(a, b):
         pts = [a]
-        if a.imag == b.imag and abs(a.imag) <= max(nudge, 1e-12) + 1e-15:
+        if a.imag == b.imag and abs(a.imag) <= cap:
             for t in (atoms_in if a.real < b.real else atoms_in[::-1]):
                 pts.append(complex(t, a.imag))
         pts.append(b)
         return list(zip(pts[:-1], pts[1:]))
+
+    def integrand(z):
+        # no warnings: an eigenvalue on the contour makes a value that is
+        # not finite, which the check below reports, and where |z| nears
+        # 1e308 the products with u = t_j - z overflow
+        with np.errstate(all="ignore"):
+            return numerator_log_derivative(model.beta, z)
 
     panels = [pan for a, b in zip(corners, corners[1:] + corners[:1])
               for pan in edge_panels(a, b)]
     tol = 0.05 * 2.0 * np.pi
     for _ in range(8):
         total, err = 0.0 + 0.0j, 0.0
-        for val, e in adaptive_panel(model.log_derivative_phi, panels,
+        for val, e in adaptive_panel(integrand, panels,
                                      tol / max(len(panels), 1)):
             total += val
             err += e
         winding = (total / (2j * np.pi)).real
         if not np.isfinite(winding):
-            raise ContourTooClose("phi'/phi is not finite on the contour")
+            raise ContourTooClose(
+                "the log-derivative of beta's numerator is not finite on "
+                "the contour")
         err /= 2.0 * np.pi
         if abs(winding - round(winding)) <= 0.05 and err <= 0.02:
             break
@@ -384,14 +374,8 @@ def volterra_window_check(model: ModelPair, rectangle):
         raise ContourTooClose(
             f"winding integral {winding} not certified near an integer")
 
-    # poles of phi inside the contour (all lie below the real axis, so none
-    # when y_bot >= 0)
-    poles_in = int(np.sum((poles.real > x1) & (poles.real < x2)
-                          & (poles.imag > y_bot) & (poles.imag < y2)))
-    count = int(round(winding)) + poles_in
-
     s = np.linspace(0.0, 1.0, 65)[:-1]
     bdry = cabs(model.phi(np.concatenate(
         [a + (b - a) * s for a, b in zip(corners, corners[1:] + corners[:1])])))
-    return WindowReport(count, float(winding), float(np.min(bdry)),
-                        float(nudge) if y1 == 0.0 else 0.0, poles_in)
+    return WindowReport(int(round(winding)), float(winding),
+                        float(np.min(bdry)), float(nudge), 0)

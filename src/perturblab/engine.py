@@ -262,19 +262,35 @@ def _collisions(roots, moving):
     return earlier[frozen.size:], (earlier | later)[frozen.size:]
 
 
+def numerator_log_derivative(rep: CauchyRepresentation, z):
+    """N'/N at the points of a 1-d array z, N(z) = F(z) prod_m (t_m - z)
+    the degree-N numerator of a Cauchy transform F = c + sum_n w_n/(t_n - z)
+    (for beta, the characteristic polynomial of L up to a constant factor).
+
+    With u = t_j - z for the pole nearest z and R the regular part of F at
+    t_j, N = (w_j + u R) prod_{m != j} (t_m - z), so
+    N'/N = (u R' - R)/(w_j + u R) + sum_{m != j} 1/(z - t_m): no polynomial
+    value is formed, and the only singularities are the zeros of N, none at
+    the poles.  Callers choose how floating-point errors are handled.
+    """
+    js = rep.nearest_poles(z)
+    u = rep.poles[js] - z
+    r, rp = rep.regular_parts(js, z)
+    return ((cmul(u, rp) - r) / (rep.residues[js] + cmul(u, r))
+            + _sum_inverse_differences(z, rep.poles, js))
+
+
 def _aberth_refine(rep: CauchyRepresentation, roots,
                    budget=ABERTH_ITERATIONS):
     """Simultaneous Aberth-Ehrlich refinement of the zeros of a Cauchy
     transform F(z) = c + sum_n w_n/(t_n - z), c = F(infinity) != 0.
 
     F has exactly N zeros, those of the degree-N numerator
-    F(z) prod_m (t_m - z).  With u = t_j - z for the pole nearest a root z
-    and R the regular part of F at t_j, that numerator is
-    (w_j + u R) prod_{m != j} (t_m - z), so its logarithmic derivative is
-    (u R' - R)/(w_j + u R) + sum_{m != j} 1/(z - t_m): no polynomial value
-    is ever formed.  Each iteration is one Jacobi-style step over the roots
-    still moving (as in MPSolve, Bini & Fiorentino 2000, Bini & Robol 2014),
-    through (moving x poles) and (moving x all roots) sums and one
+    F(z) prod_m (t_m - z), whose logarithmic derivative
+    numerator_log_derivative forms without any polynomial value.  Each
+    iteration is one Jacobi-style step over the roots still moving (as in
+    MPSolve, Bini & Fiorentino 2000, Bini & Robol 2014), through
+    (moving x poles) and (moving x all roots) sums and one
     rep.regular_parts call on the moving roots only.  A moving iterate equal
     to a frozen root or to an earlier moving one is nudged aside; one whose
     correction is not finite takes a zero step.  A root freezes, keeping its
@@ -294,11 +310,7 @@ def _aberth_refine(rep: CauchyRepresentation, roots,
     with np.errstate(all="ignore"):
         for iterations in range(1, budget + 1):
             z = roots[moving]
-            js = rep.nearest_poles(z)
-            u = t[js] - z
-            r, rp = rep.regular_parts(js, z)
-            logd = ((cmul(u, rp) - r) / (rep.residues[js] + cmul(u, r))
-                    + _sum_inverse_differences(z, t, js))
+            logd = numerator_log_derivative(rep, z)
             collided, shared = _collisions(roots, moving)
             denom = logd - _sum_inverse_differences(z, roots, moving)
             step = 1.0 / denom

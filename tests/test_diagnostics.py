@@ -8,20 +8,24 @@ import pytest
 
 from perturblab.errors import (BadParameters, DivergentNearRealZero,
                                NotBiorthogonal)
-from perturblab.model import BATCH_ELEMENTS, build_model
-from perturblab.engine import build_matrix, eigensystem, phi_zeros
+from perturblab.model import (BATCH_ELEMENTS, CauchyRepresentation,
+                              build_model)
+from perturblab.engine import (build_matrix, eigensystem,
+                               numerator_log_derivative, phi_zeros,
+                               secular_zeros)
 from perturblab.diagnostics import (SynthesisDefect, WindowReport,
-                                    _phi_poles, enumerate_partitions,
-                                    growth_profile, integral_test,
-                                    macaev_check, mass_detect,
+                                    enumerate_partitions, growth_profile,
+                                    integral_test, macaev_check, mass_detect,
                                     synthesis_defect, volterra_window_check)
 from perturblab.gallery import sharp_instance
+from perturblab.problemio import parse_problem
 from perturblab._numutil import (GL_NODES, GL_WEIGHTS, PANEL_POINTS,
                                  adaptive_panel, distances, gauss_legendre,
                                  matched_max_distance)
 
 from conftest import (make_data, no_eigensolve, random_instance,
                       separated_instance, signed_atoms, signed_atoms_loop)
+from test_cli import SIX_ATOM
 
 
 def eigen_count_below(g, lam):
@@ -500,55 +504,95 @@ class TestWindow:
                             & (zeros.imag < y2)))
         assert rep.count == inside
 
+    @pytest.mark.parametrize("data, rect, count", [
+        (lambda: separated_instance(np.random.Generator(np.random.Philox(7)),
+                                    30), (-21.0, 21.0, 0.0, 3.0), 23),
+        (lambda: parse_problem(SIX_ATOM), (-30.0, 30.0, 0.0, 1.0), 2),
+        (lambda: parse_problem(SIX_ATOM), (-30.0, 1e5, 0.0, 1.0), 2)],
+        ids=["separated_30", "six_atom", "six_atom_long"])
+    def test_counts_the_zeros_of_phi(self, data, rect, count):
+        # against the zeros of phi in the closed upper half-plane alone: a
+        # nudge that reached the lower zeros (two lie 0.0036 and 0.0086
+        # below the axis on the 30 atoms) would count them as well
+        m = build_model(data())
+        z = phi_zeros(m)
+        zeros = np.concatenate([z.upper, z.real])
+        x1, x2, _, y2 = rect
+        inside = int(np.sum((zeros.real > x1) & (zeros.real < x2)
+                            & (zeros.imag < y2)))
+        assert volterra_window_check(m, rect).count == inside == count
+
+    @pytest.mark.parametrize("zero_a", [False, True])
+    @pytest.mark.parametrize("n", [5, 12, 30])
+    def test_integrand_matches_the_oracle(self, rng, n, zero_a):
+        # N'/N = sum_k 1/(z - lambda_k) over the eigenvalues of L: within
+        # 1e-12 of an atom, on a nudged bottom edge (through the atoms too,
+        # which are eigenvalues where a_n = 0) and off the axis
+        data = random_instance(rng, n)
+        if zero_a:
+            a = data.a.copy()
+            a[::3] = 0.0
+            data = make_data(data.t, data.mu, a, data.b, data.kappa)
+        t = data.t
+        near = t[data.a != 0]
+        nudge = 1e-6 * max(1.0, float(np.max(np.abs(t))))
+        z = np.concatenate([
+            near + 1e-12, near - 1e-12j, near + (7e-13 + 3e-13j),
+            np.linspace(t[0] - 1.0, t[-1] + 1.0, 200) - 1j * nudge,
+            t - 1j * nudge,
+            rng.uniform(-25.0, 25.0, 50) + 1j * rng.uniform(-3.0, 3.0, 50)])
+        lam = np.linalg.eigvals(build_matrix(data).L)
+        ref = np.sum(1.0 / (z[:, None] - lam), axis=1)
+        got = numerator_log_derivative(build_model(data).beta, z)
+        assert np.all(np.abs(got - ref) <= 1e-8 * np.abs(ref))
+
     def test_reports_are_pinned(self):
         # bit for bit; the winding values moved when each edge segment
-        # became one quadrature panel and when the panels went from 64 to
-        # 32 nodes (the counts, nudges and boundary minima did not)
+        # became one quadrature panel, when the panels went from 64 to 32
+        # nodes and when N'/N replaced phi'/phi, and with it the nudge rule
         m = build_model(separated_instance(
             np.random.Generator(np.random.Philox(7)), 30))
         assert volterra_window_check(m, (-10.0, 4.0, 0.3, 2.5)) == \
-            WindowReport(0, -6.487296922285501e-07, 0.3238323180539666,
+            WindowReport(0, -6.487296934124233e-07, 0.3238323180539666,
                          0.0, 0)
         assert volterra_window_check(m, (-21.0, 21.0, 0.0, 3.0)) == \
-            WindowReport(25, 25.000009835532815, 0.1482904479939786,
-                         0.011052106570849615, 0)
+            WindowReport(23, 22.999954516468918, 0.05450717919855745,
+                         1.950918493130061e-05, 0)
         m = build_model(sharp_instance(1.0, 0.0, 0.0, 60).data)
         assert volterra_window_check(m, (0.1, 20.0, 0.0, 4.0)) == \
-            WindowReport(0, 2.236825097808274e-05, 0.013859014422947664,
-                         0.00753374924573953, 0)
+            WindowReport(0, -2.5179391228252843e-16, 0.013859014422947664,
+                         0.00354025, 0)
 
-    def test_no_pole_solve_above_the_nudge_line(self, monkeypatch):
-        # cap = min(1e-3 max(1, x2 - x1), 0.2 y2) = 0.014 here: above it no
-        # pole can enter the window or decide a panel breakpoint
-        import perturblab.diagnostics as diagnostics
+    @pytest.mark.parametrize("y1, count", [(0.3, 0), (0.0141, 7),
+                                           (0.005, 8), (0.0, 8), (-1.0, 11)])
+    def test_no_window_check_solves_poles(self, monkeypatch, y1, count):
+        # cap = min(1e-3 max(1, x2 - x1), 0.2 y2) = 0.014 here: bottom
+        # edges above it, within it, on the axis and below it
+        import perturblab.engine as engine
 
-        def refuse(model):
-            raise AssertionError("the poles of phi were solved for")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a secular solve ran")
 
         m = build_model(separated_instance(
             np.random.Generator(np.random.Philox(7)), 30))
-        monkeypatch.setattr(diagnostics, "_phi_poles", refuse)
-        assert volterra_window_check(m, (-10.0, 4.0, 0.3, 2.5)) == \
-            WindowReport(0, -6.487296922285501e-07, 0.3238323180539666,
-                         0.0, 0)
-        assert volterra_window_check(m, (-10.0, 4.0, 0.0141, 2.5)) == \
-            WindowReport(7, 6.999999226776365, 0.11541571583681992, 0.0, 0)
+        for name in ("secular_zeros", "_aberth_refine"):
+            monkeypatch.setattr(engine, name, refuse)
+        assert volterra_window_check(m, (-10.0, 4.0, y1, 2.5)).count == count
 
     def test_low_bottom_edge_keeps_its_report(self):
-        # 0 < y1 <= cap: the poles are solved and the depth-limited nudge
-        # (0.01308...) sets the breakpoints; only the reported nudge is 0.0,
-        # since this bottom edge is not moved
+        # 0 < y1 <= cap: the atoms are the bottom edge's breakpoints; the
+        # reported nudge is 0.0, since this bottom edge is not moved
         m = build_model(separated_instance(
             np.random.Generator(np.random.Philox(7)), 30))
         assert volterra_window_check(m, (-10.0, 4.0, 0.005, 2.5)) == \
-            WindowReport(8, 7.999999999753237, 0.1412795939429589, 0.0, 0)
+            WindowReport(8, 7.999999999802681, 0.1412795939429589, 0.0, 0)
         assert volterra_window_check(m, (-10.0, 4.0, 0.013, 2.5)) == \
-            WindowReport(7, 6.999999979899692, 0.11700061713138721, 0.0, 0)
+            WindowReport(7, 6.999999979902631, 0.11700061713138721, 0.0, 0)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_zero_next_to_the_top_edge(self, seed):
         # the top edge 1e-3 and 1e-4 above and below the lowest and the
-        # highest zero over 1e-3: phi'/phi spikes there, and one panel per
+        # highest zero over 1e-3: N'/N spikes there, and one panel per
         # edge must not step over the spike
         m = build_model(separated_instance(
             np.random.Generator(np.random.Philox(seed)), 60))
@@ -572,7 +616,7 @@ class TestWindow:
     def test_one_panel_per_edge_segment(self, monkeypatch, sharp, rect, split):
         # the first quadrature level takes each segment and its two halves:
         # 3 (m + 4) pieces, m the atoms inside (x1, x2) when the bottom edge
-        # lies within the nudge of the real axis, else 0
+        # lies within cap of the real axis, else 0
         import perturblab._numutil as numutil
         sizes, plain = [], numutil.gauss_legendre
 
@@ -661,7 +705,8 @@ class TestWindow:
             [recursion(a, b, tol, w) for (a, b), w in zip(panels, wholes)]
 
     def test_below_axis_counts_every_zero(self):
-        # 60 eigenvalues of the oracle and 59 poles of phi lie inside
+        # all 60 eigenvalues of the oracle lie inside, and 59 poles of phi,
+        # which N'/N does not see
         data = separated_instance(np.random.Generator(np.random.Philox(7)),
                                   60)
         rect = (-21.0, 21.0, -1.0, 2.0)
@@ -670,7 +715,7 @@ class TestWindow:
                             & (eigs.imag > rect[2]) & (eigs.imag < rect[3])))
         rep = volterra_window_check(build_model(data), rect)
         assert inside == 60
-        assert (rep.count, rep.poles_added_back) == (60, 59)
+        assert (rep.count, rep.poles_added_back) == (60, 0)
 
     @pytest.mark.parametrize("rect", [(3.0, 1.0, 0.0, 1.0),
                                       (0.0, 1.0, 2.0, 1.0),
@@ -681,12 +726,20 @@ class TestWindow:
             volterra_window_check(build_model(two_atom), rect)
 
 
+def phi_poles(model):
+    """Poles of phi: the N zeros of i + rho, the Cauchy transform with the
+    poles and weights of rho and the constant i + delta, in np.sort_complex
+    order; at infinity it is i + rho(infinity) != 0."""
+    return secular_zeros(CauchyRepresentation(model.t, model.nu,
+                                              1j + model.delta))[0]
+
+
 def check_poles(model):
     """Exactly N poles, each a root of i + rho, matching the eigenvalues of
     diag(t) + (nu/(i + rho(inf))) 1^T, since det(D + u v^T) =
     det(D)(1 + v^T D^-1 u) makes their zeros those of i + rho."""
     t, nu = model.t, model.nu
-    poles = _phi_poles(model)
+    poles = phi_poles(model)
     assert poles.size == t.size
     for z in poles:
         assert abs(1j + model.rho(z)) <= 1e-10
@@ -717,7 +770,7 @@ class TestPhiPoles:
     def test_first_order_starts_suffice(self, data, monkeypatch):
         model = build_model(data())
         no_eigensolve(monkeypatch)
-        poles = _phi_poles(model)
+        poles = phi_poles(model)
         assert poles.size == model.t.size
         assert poles.tobytes() == np.sort_complex(poles).tobytes()
         assert np.max(np.abs(1j + model.rho(poles))) <= 1e-10
@@ -730,7 +783,7 @@ class TestPhiPoles:
         model = build_model(make_data(d.t, d.mu, d.a, 5 * d.b, 5 * d.kappa))
         with monkeypatch.context() as patch:
             no_eigensolve(patch)
-            _phi_poles(model)
+            phi_poles(model)
         check_poles(model)
 
 
