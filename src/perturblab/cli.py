@@ -231,8 +231,6 @@ def model_eval(cfg, problem, which, points, real_grid, imag, delta):
 # -- spectrum / compare -----------------------------------------------------
 
 def _spectrum_payload(res, data):
-    from perturblab.engine import strong_real_type
-
     jordan = [{"eigenvalue": problemio.complex_to_pair(lam),
                "blocks": list(blocks)}
               for lam, blocks in zip(res.oracle.clusters, res.oracle.jordan)]
@@ -247,8 +245,10 @@ def _spectrum_payload(res, data):
         "jordan": jordan,
         "route": list(res.route),
         "real_type": real_type,
-        "strong_real_type": bool(real_type
-                                 and strong_real_type(data, res)),
+        # real-type data whose spectrum is real within tolerance
+        "strong_real_type": bool(
+            real_type and np.max(np.abs(res.eigenvalues.imag))
+            <= 1e-9 * res.oracle.spectral_scale),
     }
 
 
@@ -445,9 +445,9 @@ def _params_manifest(command, params, cfg):
 
 
 @gallery_group.command("sharp")
-@click.option("--eps", type=float, required=True)
-@click.option("--alpha1", type=float, default=0.0, show_default=True)
-@click.option("--alpha2", type=float, default=0.0, show_default=True)
+@click.option("--eps", type=FINITE, required=True)
+@click.option("--alpha1", type=FINITE, default=0.0, show_default=True)
+@click.option("--alpha2", type=FINITE, default=0.0, show_default=True)
 @click.option("--n", "n_terms", type=int, default=100, show_default=True)
 @click.option("--rect", default=None,
               help="Optional zero-count rectangle 'x1,x2,y1,y2'.")

@@ -38,11 +38,10 @@ from .errors import (AdmissibilityError, BadParameters, ChainRequired,
                      SingularGauge)
 from .data import RankOneData, RankNData, validate
 from .model import (BATCH_ELEMENTS, CauchyRepresentation, ModelPair,
-                    build_model, kernel_k)
-from ._numutil import (assignment, cabs, cluster_points, cmul,
-                       difference_quotient, distances, matched_max_distance,
-                       hausdorff_distance, numerical_rank, kahan_sum,
-                       sum_by_abs_pole)
+                    build_model)
+from ._numutil import (cabs, cluster_points, cmul, distances,
+                       matched_max_distance, hausdorff_distance,
+                       numerical_rank, sum_by_abs_pole)
 
 #: singular values below this (relative) are zero in Jordan rank tests
 JORDAN_RANK_RTOL = 1e-7
@@ -392,7 +391,7 @@ class SpectrumResult:
     route: tuple
 
 
-def compute_spectrum(data, route="auto", model=None):
+def compute_spectrum(data, route="auto"):
     """Oracle and model spectra, their optimal matching distance
     (match_residual, from matched_max_distance) and their Hausdorff
     distance, both from one matrix of distances.
@@ -402,15 +401,13 @@ def compute_spectrum(data, route="auto", model=None):
     """
     M = build_matrix(data, route=route)
     oracle = oracle_spectrum(M)
-    if model is None and isinstance(data, RankOneData):
-        model = build_model(data)
-    if model is None:
+    if not isinstance(data, RankOneData):
         empty = np.array([], dtype=complex)
         zeros = PhiZeros(empty, empty, np.array([], dtype=int),
                          empty, empty, empty, "none", 0)
         return SpectrumResult(oracle.eigenvalues, empty, float("nan"),
                               float("nan"), oracle, zeros, M.route)
-    zeros = phi_zeros(model)
+    zeros = phi_zeros(build_model(data))
     dist = distances(oracle.eigenvalues, zeros.zeros)
     return SpectrumResult(oracle.eigenvalues, zeros.zeros,
                           matched_max_distance(dist), hausdorff_distance(dist),
@@ -421,64 +418,35 @@ def compute_spectrum(data, route="auto", model=None):
 # Eigensystem and biorthogonality
 # ---------------------------------------------------------------------------
 
-def strong_real_type(data, result: SpectrumResult = None):
-    """Real-type data whose spectrum is entirely real (within tolerance)."""
-    from .data import classify_real_type
-
-    if not classify_real_type(data):
-        return False
-    if result is None:
-        result = compute_spectrum(data)
-    eigs = result.eigenvalues
-    scale = max(1.0, float(np.max(np.abs(eigs)))) if eigs.size else 1.0
-    return bool(np.max(np.abs(eigs.imag)) <= 1e-9 * scale)
-
-
 @dataclass(frozen=True)
 class Eigensystem:
     eigenvalues: np.ndarray
-    h_samples: np.ndarray            # rows: h_lam at atoms
     left_vectors: np.ndarray         # columns: eigenvectors of L*, normalized
     model_vectors: np.ndarray        # columns: a_n/(t_n - lam)
-    collinearity: np.ndarray         # 1 - |<v, w>| per eigenvalue
-    gram: np.ndarray                 # <h_j, k_k> discrete Clark inner product
-    gram_offdiag: float
     weights: np.ndarray              # mu
 
 
-def eigensystem(data: RankOneData, model=None, matrix=None):
-    """Eigenfunctions, matrix eigenvectors and the biorthogonal Gram data.
+def eigensystem(data: RankOneData):
+    """The eigenvalues of L, the zeros of beta from phi_zeros, with the
+    eigenvectors of L and of its weighted adjoint L* in closed form: the
+    model vector f = a_n/(t_n - lam) and the left vector
+    g = b_n/(t_n - conj(lam)), normalized so that <f, g>_mu = 1.
 
     Requires a simple spectrum: a multiple model zero raises ChainRequired,
     which ends a command with exit code 4.
     """
-    if model is None:
-        model = build_model(data)
-    if matrix is None:
-        matrix = build_matrix(data)
-    zeros = phi_zeros(model)
+    zeros = phi_zeros(build_model(data))
     if np.any(zeros.multiplicities > 1):
         raise ChainRequired("spectrum has multiple eigenvalues")
     lams = zeros.zeros
-    t, mu, nu = data.t, data.mu, data.nu
-
-    evals, evecs = np.linalg.eig(matrix.L)
-    evecs = evecs[:, assignment(distances(lams, evals))]
-
-    diff = t - lams[:, None]
+    t, mu = data.t, data.mu
     with np.errstate(divide="ignore", invalid="ignore"):   # checked below
-        # h_lam(t_n) = phi(t_n)/(t_n - lam), with the limit phi'(t_n) at lam
-        h_samples = difference_quotient(model.phi(t), diff, t,
-                                        lambda: model.phi_prime(t))
-        # row j: the model vector a_n/(t_n - lam_j) and the left eigenvector
-        # b_n/(t_n - conj(lam_j)) of the weighted adjoint, normalized so
-        # that <f_j, g_j>_mu = 1
-        f = data.a / diff
+        # row j: the model vector and the left vector of eigenvalue lam_j
+        f = data.a / (t - lams[:, None])
         g = data.b / (t - np.conj(lams)[:, None])
     # an eigenvalue on an atom t_n (which a_n = 0 allows) makes them 0/0
     for stage, vals in (("model vector a_n/(t_n - lam)", f),
-                        ("left vector b_n/(t_n - conj(lam))", g),
-                        ("eigenfunction sample h_lam(t_n)", h_samples)):
+                        ("left vector b_n/(t_n - conj(lam))", g)):
         bad = np.argwhere(~np.isfinite(vals))
         if bad.size:
             j, n = bad[0]
@@ -494,21 +462,7 @@ def eigensystem(data: RankOneData, model=None, matrix=None):
         raise NotBiorthogonal(
             f"pair at eigenvalue {lams[small][0]} degenerate")
     g = g / np.conj(ip)[:, None]
-    v, w = evecs.T * np.sqrt(mu), f * np.sqrt(mu)
-    collin = 1.0 - cabs(np.sum(np.conj(v) * w, axis=1)) / (
-        np.linalg.norm(v, axis=1) * np.linalg.norm(w, axis=1))
-
-    # gram[j, k] = pi sum_n h_j(t_n) conj(k_k(t_n)) nu_n, summed over n
-    kernels = np.conj(kernel_k(model, lams[:, None], t))
-    gram = np.pi * kahan_sum(h_samples[:, n, None] * kernels[:, n] * nu[n]
-                             for n in range(t.size))
-    d = np.sqrt(np.abs(np.diag(gram)))
-    off = gram / np.outer(d, d)
-    np.fill_diagonal(off, 0.0)
-    gram_offdiag = float(np.max(np.abs(off))) if lams.size > 1 else 0.0
-
-    return Eigensystem(lams, h_samples, g.T, f.T, collin,
-                       gram, gram_offdiag, mu)
+    return Eigensystem(lams, g.T, f.T, mu)
 
 
 # ---------------------------------------------------------------------------

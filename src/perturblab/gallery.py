@@ -58,9 +58,10 @@ def sharp_instance(eps, alpha1, alpha2, n_terms):
     coupling 1.  Requires alpha1, alpha2 >= 0, alpha1 + alpha2 < 1 and
     eps = 1 - alpha1 - alpha2.
     """
-    if alpha1 < 0 or alpha2 < 0 or alpha1 + alpha2 >= 1:
+    # negated, so that nan fails each test
+    if not (alpha1 >= 0 and alpha2 >= 0 and alpha1 + alpha2 < 1):
         raise BadParameters("need alpha1, alpha2 >= 0 with alpha1 + alpha2 < 1")
-    if abs(eps - (1.0 - alpha1 - alpha2)) > 1e-12:
+    if not abs(eps - (1.0 - alpha1 - alpha2)) <= 1e-12:
         raise BadParameters("eps must equal 1 - alpha1 - alpha2")
     if n_terms < 10:
         raise BadParameters("need at least 10 terms")

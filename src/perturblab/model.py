@@ -26,9 +26,9 @@ order along all points at once, so a point gives the same value bit for bit
 alone or in an array (complex products go through _numutil.cmul).  The
 kernel sums every transform an evaluator needs (beta and rho, or beta* and
 rho) in one pass, forming one reciprocal r = 1/(t - z) per term and point
-for all of them, the value terms w (r - 1/t) and, only for theta_prime and
-log_derivative_phi, the derivative terms w r^2.  A regular part leaves out
-the point's own pole: its term is an exact 0 in its place in the order.
+for all of them, the value terms w (r - 1/t) and, only for theta_prime,
+the derivative terms w r^2.  A regular part leaves out the point's own
+pole: its term is an exact 0 in its place in the order.
 Where |z| is so large (about 1e308) that a product with u overflows, the
 quotients are taken with numerator and denominator over u.
 
@@ -343,22 +343,6 @@ class ModelPair:
                      square(self._den(j, u, r))),
             lambda: (-2j * (self.nu[j] / u / u + rp),
                      square(self._den_over_u(j, u, r))))
-
-    def log_derivative_phi(self, z):
-        """phi'(z)/phi(z) = beta'/beta - rho'/(i + rho), atom-stable."""
-        j, u, b, r, bp, rp = self._split(z, self.beta, self.rho,
-                                         derivatives=True)
-        w = self.beta.residues[j]
-        # d/dz of (w_j + u b) and (i u + nu_j + u r) with du/dz = -1
-        return (_regrouped(lambda: (cmul(u, bp) - b, w + cmul(u, b)),
-                           lambda: (bp - b / u, w / u + b))
-                - _regrouped(lambda: (cmul(u, rp) - r - 1j,
-                                      self._den(j, u, r)),
-                             lambda: (rp - (r + 1j) / u,
-                                      self._den_over_u(j, u, r))))
-
-    def phi_prime(self, z):
-        return cmul(self.phi(z), self.log_derivative_phi(z))
 
     def eval(self, which, z):
         """Evaluate one of beta|rho|theta|phi|phi_tilde at a point or an array.

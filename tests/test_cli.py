@@ -205,6 +205,9 @@ class TestExitCodes:
         ["diagnose", "integral", "{problem}", "--tau", "inf"],
         ["diagnose", "integral", "{problem}", "--eta", "nan"],
         ["diagnose", "integral", "{problem}", "--eta", "-inf"],
+        ["gallery", "sharp", "--eps", "nan"],
+        ["gallery", "sharp", "--eps", "1", "--alpha1", "nan"],
+        ["gallery", "sharp", "--eps", "1", "--alpha2", "inf"],
     ])
     def test_non_finite_option_exit_two(self, tmp_path, problem_file, argv,
                                         capsys):

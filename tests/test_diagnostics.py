@@ -10,7 +10,7 @@ from perturblab.errors import (BadParameters, DivergentNearRealZero,
                                NotBiorthogonal)
 from perturblab.model import (BATCH_ELEMENTS, CauchyRepresentation,
                               build_model)
-from perturblab.engine import (build_matrix, eigensystem,
+from perturblab.engine import (build_matrix, compute_spectrum, eigensystem,
                                numerator_log_derivative, phi_zeros,
                                secular_zeros)
 from perturblab.diagnostics import (SynthesisDefect, WindowReport,
@@ -816,14 +816,18 @@ class TestErrorPaths:
         assert (g / y).real == pytest.approx(rep.herglotz_p, rel=1e-6)
 
 
+def strong_real_type(data):
+    """The strong_real_type entry of the spectrum command's payload."""
+    from perturblab.cli import _spectrum_payload
+
+    return _spectrum_payload(compute_spectrum(data), data)["strong_real_type"]
+
+
 class TestStrongRealType:
     def test_real_spectrum_detected(self, two_atom):
-        from perturblab.engine import strong_real_type
         assert strong_real_type(two_atom)  # spectrum {1 +- sqrt 2} real
 
     def test_complex_pair_rejected(self):
-        from perturblab.engine import strong_real_type
-        from conftest import make_data
         # real-type data with a complex-conjugate eigenvalue pair
         data = make_data([1.0, 2.0], [1, 1], [1, -1], [1, 1], 1.0)
         if strong_real_type(data):

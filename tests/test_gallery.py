@@ -43,6 +43,11 @@ class TestSharpInstance:
             sharp_instance(0.5, 0.3, 0.3, 50)   # eps != 1 - a1 - a2
         with pytest.raises(BadParameters):
             sharp_instance(-0.2, 0.6, 0.6, 50)
+        # nan once passed every range check, and the data carried nan
+        for eps, alpha1, alpha2 in ((1.0, np.nan, 0.0), (1.0, 0.0, np.nan),
+                                    (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0)):
+            with pytest.raises(BadParameters):
+                sharp_instance(eps, alpha1, alpha2, 50)
 
     def test_truncation_identity_improves_with_n(self):
         # beta_N approaches 1/cos(pi sqrt z); discrepancy decreases in N

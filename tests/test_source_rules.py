@@ -70,6 +70,8 @@ KEPT_UNREACHED = {
                     "Section-4 operator against its adjoint (ROADMAP item 3) "
                     "is to use it",
     "serialize_problem": "the tests write their problem files with it",
+    "kernel_k": "acceptance criterion 06 checks the reproducing formula "
+                "with it",
 }
 
 
