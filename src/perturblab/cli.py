@@ -261,7 +261,9 @@ def _match_tolerance(cfg, res):
 @cli.command("spectrum")
 @click.argument("problem", type=click.Path(exists=True))
 @click.option("--route", type=click.Choice(["auto", "direct", "shift"]),
-              default="auto", show_default=True)
+              default="auto", show_default=True,
+              help="auto, direct: L in closed form; shift: the same L, "
+                   "plus a shift lambda with invertible shifted coupling.")
 @click.pass_obj
 def spectrum_cmd(cfg, problem, route):
     """Oracle and model spectra; exit 3 when they disagree."""

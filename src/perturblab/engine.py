@@ -13,14 +13,12 @@ and the Sherman-Morrison-Woodbury identity gives it in closed form,
     L = A + a S^{-1} b*,    S = kappa - b* A^{-1} a,
 
 where S is the coupling that admissibility keeps invertible (the report's
-kappa_minus_omega).  build_matrix forms the closed form: one r x r solve and
-one (N x r)(r x N) product, O(N^2 r) time and one N x N array.  The inverse
-form is kept only as the reference MatrixRealization.inverse_residual checks
-the closed form against.  When kappa is not invertible a deterministic scan
-picks a real shift lambda with invertible shifted coupling
-kappa(lambda) = kappa + lambda b*(A - lambda)^{-1} A^{-1} a, builds over
-A - lambda and moves the spectrum back; the shifted data have the same S, so
-both routes give the same L.
+kappa_minus_omega), singular kappa or not.  build_matrix forms the closed
+form once on every route: one r x r solve and one (N x r)(r x N) product,
+O(N^2 r) time and one N x N array.  The inverse form is kept only as the
+reference MatrixRealization.inverse_residual checks it against; for singular
+kappa that needs the shift route's real lambda with invertible shifted
+coupling kappa(lambda) = kappa + lambda b*(A - lambda)^{-1} A^{-1} a.
 
 The spectrum is computed two independent ways: dense eigensolve of L (the
 oracle) and zeros of the generating function phi (the model route).  For
@@ -114,7 +112,11 @@ class MatrixRealization:
             data = shifted_data(data, lam)
             L = L.copy()
             L[np.diag_indices(len(data.t))] -= lam
-        m = _inverse_form(data)
+        try:
+            m = _inverse_form(data)
+        except np.linalg.LinAlgError:  # singular kappa
+            raise AdmissibilityError('kappa is singular: read the inverse '
+                                     'residual of route="shift"') from None
         prod = L @ m
         prod[np.diag_indices(len(data.t))] -= 1.0
         return float(np.linalg.norm(prod)
@@ -130,28 +132,20 @@ def _closed_form(data, s):
     return L
 
 
-def _kappa_invertible(kappa_mat, tol=1e-12):
-    s = np.linalg.svd(kappa_mat, compute_uv=False)
-    return s[-1] > tol * (1.0 + s[0])
-
-
 def build_matrix(data, route="auto"):
-    """Matrix realization of L(A, a, b, kappa) on l^2(mu).
-
-    route "direct" requires invertible kappa; "shift" forces the scan;
-    "auto" picks direct when possible.
+    """Matrix realization of L(A, a, b, kappa) on l^2(mu): the closed form,
+    the same L on every route.  "auto" and "direct" record ("direct",);
+    "shift" records ("shift", lambda), lambda the first of a scan with
+    invertible shifted coupling, at which inverse_residual checks L - lambda.
     """
     report = validate(data)
     if not report.condition_A:
         raise AdmissibilityError("admissibility condition fails")
     if route not in ("auto", "direct", "shift"):
         raise BadParameters(f"unknown route {route!r}")
+    L = _closed_form(data, report.kappa_minus_omega)
     if route != "shift":
-        if _kappa_invertible(_columns(data)[2]):
-            L = _closed_form(data, report.kappa_minus_omega)
-            return MatrixRealization(L, ("direct",), data)
-        if route == "direct":
-            raise AdmissibilityError("kappa not invertible; use the shift route")
+        return MatrixRealization(L, ("direct",), data)
     t = data.t
     big = 2.0 * np.max(np.abs(t))
     for lam in np.linspace(-big, big, 1000):
@@ -161,9 +155,6 @@ def build_matrix(data, route="auto"):
         kl_mat = np.atleast_2d(np.asarray(kl, dtype=complex))
         s = np.linalg.svd(kl_mat, compute_uv=False)
         if s[-1] > 1e-8:
-            shifted = shifted_data(data, lam)
-            L = _closed_form(shifted, validate(shifted).kappa_minus_omega)
-            L[np.diag_indices(len(t))] += lam
             return MatrixRealization(L, ("shift", float(lam)), data)
     raise NoInvertibleShift("no invertible shifted coupling among 1000 candidates")
 
@@ -196,8 +187,10 @@ def oracle_spectrum(M: MatrixRealization):
     jordan = []
     n = L.shape[0]
     for lam, m in zip(centers, mults):
-        if m == 1:
-            jordan.append((1,))
+        # rank one: b_n != 0 at every atom makes L cyclic, with the one
+        # eigenvector a/(t - lam) at each eigenvalue, so one Jordan block
+        if m == 1 or isinstance(M.data, RankOneData):
+            jordan.append((int(m),))
             continue
         shifted = L - lam * np.eye(n)
         kernel_dims = [0]

@@ -671,6 +671,22 @@ class TestMoreDiagnose:
         eigs = sorted(v[0] for v in doc["result"]["oracle"])
         assert eigs == pytest.approx([1 - np.sqrt(2), 1 + np.sqrt(2)])
 
+    @pytest.mark.parametrize("route", ["auto", "direct", "shift"])
+    def test_zero_kappa_every_route(self, tmp_path, route):
+        # kappa = 0 is admissible here (S = kappa - b* A^{-1} a = -3/2), so
+        # every route builds L and 0 is an eigenvalue
+        path = tmp_path / "zero_kappa.json"
+        path.write_text(json.dumps({
+            "atoms": [{"t": 1.0, "mu": 1.0}, {"t": 2.0, "mu": 1.0}],
+            "a": [[1.0, 0.0], [1.0, 0.0]], "b": [[1.0, 0.0], [1.0, 0.0]],
+            "kappa": [0.0, 0.0]}))
+        assert main(["--quiet", "--out", str(tmp_path / "out"), "spectrum",
+                     str(path), "--route", route]) == 0
+        doc, _ = read_artifact(tmp_path / "out", "spectrum", "spectrum")
+        assert doc["result"]["route"][0] == \
+            ("shift" if route == "shift" else "direct")
+        assert min(abs(complex(*v)) for v in doc["result"]["oracle"]) < 1e-10
+
 
 class TestSynthesisSize:
     def test_65_atoms_sampled(self, tmp_path):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from perturblab.data import DiscreteSpectralData, RankNData
+from perturblab import engine
+from perturblab.data import DiscreteSpectralData, RankNData, omega_matrix
 from perturblab.errors import AdmissibilityError, MatchingFailure
 from perturblab.model import CauchyRepresentation, build_model
 from perturblab.engine import (ABERTH_ITERATIONS, MatrixRealization,
@@ -81,14 +82,23 @@ class TestBuildMatrix:
             m = build_matrix(random_instance(rng))
             assert m.inverse_residual <= 1e-10
 
-    def test_zero_kappa_takes_shift_route(self):
+    @pytest.mark.parametrize("route", ["auto", "direct"])
+    def test_zero_kappa_builds_the_closed_form(self, route):
+        # L = A + a S^{-1} b* needs S = kappa - b* A^{-1} a invertible, not
+        # kappa
         data = make_data([1.0, 2.0], [1, 1], [1, 1], [1, 1], 0.0)
-        m = build_matrix(data)
-        assert m.route[0] == "shift"
-        res = compute_spectrum(data)
+        assert build_matrix(data, route=route).route == ("direct",)
+        res = compute_spectrum(data, route=route)
+        assert res.route == ("direct",)
         assert res.match_residual <= 1e-9
         # kappa = 0 <=> phi(0) = 0 <=> 0 in the spectrum
         assert np.min(np.abs(res.eigenvalues)) < 1e-10
+
+    def test_inverse_residual_of_singular_kappa_names_the_shift_route(self):
+        data = make_data([1.0, 2.0], [1, 1], [1, 1], [1, 1], 0.0)
+        with pytest.raises(AdmissibilityError, match='route="shift"'):
+            build_matrix(data).inverse_residual
+        assert build_matrix(data, route="shift").inverse_residual <= 1e-10
 
     def test_inadmissible_rejected(self):
         data = make_data([1.0], [1.0], [1.0], [1.0], 1.0)
@@ -140,15 +150,14 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_shift_route_gives_the_direct_matrix(self, rng, rank):
-        # the shifted data have the same coupling: S(lambda) = S
+        # one closed form on every route; the shift route only records lambda
         for _ in range(10):
             data = (random_instance(rng, 8) if rank == 1
                     else random_rank_two(rng, 8))
             direct = build_matrix(data, route="direct")
             shift = build_matrix(data, route="shift")
             assert shift.route[0] == "shift" and shift.route[1] != 0.0
-            assert np.linalg.norm(shift.L - direct.L) <= \
-                1e-13 * np.linalg.norm(direct.L)
+            assert np.array_equal(shift.L, direct.L)
 
     @pytest.mark.parametrize("route", ["direct", "shift"])
     @pytest.mark.parametrize("rank, n", [(1, 1024), (2, 512)])
@@ -195,6 +204,40 @@ class TestOracle:
         assert np.max(osp.multiplicities) == 2
         idx = int(np.argmax(osp.multiplicities))
         assert osp.jordan[idx] == (2,)
+
+    def test_rank_one_forms_no_power(self, monkeypatch):
+        # rank-one L is cyclic: the blocks are read off the multiplicities
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numerical rank was taken")
+        monkeypatch.setattr(engine, "numerical_rank", refuse)
+        osp = oracle_spectrum(build_matrix(double_zero_instance()))
+        idx = int(np.argmax(osp.multiplicities))
+        assert osp.multiplicities[idx] == 2 and osp.jordan[idx] == (2,)
+
+    @pytest.mark.parametrize("B, mult, blocks", [
+        ([[5.0, 1.0], [0.0, 5.0]], 3, (2, 1)),
+        ([[5.0, 0.0], [0.0, 7.5]], 2, (1, 1)),
+    ])
+    def test_rank_two_jordan_blocks(self, B, mult, blocks):
+        # a, b supported on the atoms 1, 2 of t = 1..6 and S^{-1} = C make
+        # L the block B on those atoms and diag(3, 4, 5, 6) on the rest, so
+        # the atom 5 joins B's eigenvalue 5
+        t, mu = np.arange(1.0, 7.0), np.ones(6)
+        a_s = np.array([[1.0, 0.5], [0.2, 1.0]], dtype=complex)
+        b_s = np.array([[1.0, 0.3j], [0.1, 1.0]], dtype=complex)
+        a, b = np.zeros((6, 2), complex), np.zeros((6, 2), complex)
+        a[:2], b[:2] = a_s, b_s
+        C = np.linalg.inv(a_s) @ (np.asarray(B) - np.diag(t[:2])) \
+            @ np.linalg.inv(b_s.conj().T * mu[:2])
+        base = DiscreteSpectralData(t, mu)
+        omega = omega_matrix(RankNData(base, a, b, np.eye(2)))
+        data = RankNData(base, a, b, np.linalg.inv(C) + omega)
+        osp = oracle_spectrum(build_matrix(data))
+        idx = int(np.argmin(np.abs(osp.clusters - 5.0)))
+        assert abs(osp.clusters[idx] - 5.0) < 1e-9
+        assert osp.multiplicities[idx] == mult
+        assert osp.jordan[idx] == blocks
+        assert all(j == (1,) for k, j in enumerate(osp.jordan) if k != idx)
 
 
 class TestPhiZeros:
